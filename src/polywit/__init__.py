@@ -29,7 +29,6 @@ from .errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from .fields import QQ, Field, Rationals
 from .harness import RunReport, run_witness, selftest, verify
 from .matrices import (
     Matrix,
@@ -61,7 +60,6 @@ __all__ = [
     "CommutativityError",
     "DimensionError",
     "EmptyPolynomialError",
-    "Field",
     "InternalInvariantError",
     "MarkedPoly",
     "Matrix",
@@ -72,8 +70,6 @@ __all__ = [
     "PolynomialSyntaxError",
     "PolywitError",
     "PreconditionError",
-    "QQ",
-    "Rationals",
     "RunReport",
     "SingularMatrixError",
     "WitnessAssignment",

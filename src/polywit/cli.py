@@ -197,7 +197,7 @@ def run(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (PolywitError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (PolywitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,15 +10,16 @@ verification harness re-evaluate rather than trusting this module.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import (
     EmptyPolynomialError,
     InternalInvariantError,
     PreconditionError,
 )
-from .fields import QQ, Field
 from .matrices import (
     Matrix,
+    as_rational,
     block_diagonal,
     block_flatten,
     block_unit,
@@ -47,9 +48,7 @@ BRANCH_REWRITE = "rewrite"
 
 
 def _matvec(a: Matrix, vec):
-    return tuple(
-        sum((x * v for x, v in zip(row, vec)), a.field.zero()) for row in a.rows
-    )
+    return tuple(sum(x * v for x, v in zip(row, vec)) for row in a.rows)
 
 
 def _first_non_eigenvector(a: Matrix):
@@ -60,8 +59,7 @@ def _first_non_eigenvector(a: Matrix):
     eigenvector, which forces the matrix to be scalar.
     """
     d = a.size
-    field = a.field
-    z, o = field.zero(), field.one()
+    z, o = Fraction(0), Fraction(1)
     candidates = []
     for i in range(d):
         candidates.append(tuple(o if r == i else z for r in range(d)))
@@ -69,7 +67,7 @@ def _first_non_eigenvector(a: Matrix):
         for j in range(i + 1, d):
             candidates.append(tuple(o if r in (i, j) else z for r in range(d)))
     for v in candidates:
-        if rank_of_rows([list(v), list(_matvec(a, v))], field) == 2:
+        if rank_of_rows([list(v), list(_matvec(a, v))]) == 2:
             return v
     return None
 
@@ -77,67 +75,38 @@ def _first_non_eigenvector(a: Matrix):
 def _extend_to_basis(a: Matrix, v):
     vectors = [list(v), list(_matvec(a, v))]
     d = a.size
-    field = a.field
-    z, o = field.zero(), field.one()
+    z, o = Fraction(0), Fraction(1)
     for i in range(d):
         if len(vectors) == d:
             break
         e = [o if r == i else z for r in range(d)]
-        if rank_of_rows(vectors + [e], field) > len(vectors):
+        if rank_of_rows(vectors + [e]) > len(vectors):
             vectors.append(e)
     if len(vectors) != d:
         raise InternalInvariantError("basis extension fell short of full rank")
-    return Matrix([[vectors[c][r] for c in range(d)] for r in range(d)], field)
-
-
-def scalar_case_basis(d: int, field: Field = QQ) -> Matrix:
-    """Change-of-basis columns used when a trace-zero matrix is scalar.
-
-    Columns 1..d are e_i + e_{d+1} and the last is e_{d+1} minus the sum
-    of e_1..e_d.  Over a field of characteristic zero a nonzero scalar
-    trace-zero matrix cannot exist, so this basis only sees action over
-    prime-characteristic fields; it is still built and tested here.
-    """
-    if d < 1:
-        raise PreconditionError("basis needs a positive size")
-    z, o = field.zero(), field.one()
-    rows = [[z] * (d + 1) for _ in range(d + 1)]
-    for i in range(d):
-        rows[i][i] = o
-        rows[d][i] = o
-        rows[i][d] = -o
-    rows[d][d] = o
-    return Matrix(rows, field)
+    return Matrix._trusted([[vectors[c][r] for c in range(d)] for r in range(d)])
 
 
 def hollow_similarity(a: Matrix):
     """Conjugator into zero-diagonal form, one size up.
 
     Returns (p, h) with h = p * embed(a, d+1) * p^-1 and diag(h) = 0.
-    The extra row and column absorb the scalar case, which over the
-    rationals only ever occurs for the zero matrix.
     """
-    field = a.field
-    if a.trace() != field.zero():
-        raise PreconditionError(
-            f"hollow form needs trace zero, got trace {field.format(a.trace())}"
-        )
+    if a.trace():
+        raise PreconditionError(f"hollow form needs trace zero, got trace {a.trace()}")
     d = a.size
     target = embed(a, d + 1)
     v = _first_non_eigenvector(a)
     if v is None:
-        # a is scalar; with trace zero and characteristic zero that means a = 0
-        if a.rows[0][0] == field.zero():
-            p = Matrix.identity(d + 1, field)
-        else:
-            p = inverse(scalar_case_basis(d, field))
+        # a is scalar with trace zero, which over the rationals means a = 0
+        p = Matrix.identity(d + 1)
     else:
         big = _extend_to_basis(a, v)
         q = inverse(big)
         conj = q * a * big
-        b = Matrix([row[1:] for row in conj.rows[1:]], field)
+        b = Matrix._trusted([row[1:] for row in conj.rows[1:]])
         r, _ = hollow_similarity(b)
-        one = Matrix.identity(1, field)
+        one = Matrix.identity(1)
         p = block_flatten_mixed(one, r) * block_flatten_mixed(q, one)
     h = p * target * inverse(p)
     if not h.has_zero_diagonal():
@@ -147,17 +116,15 @@ def hollow_similarity(a: Matrix):
 
 def block_flatten_mixed(top: Matrix, bottom: Matrix) -> Matrix:
     """diag(top, bottom) for blocks of different sizes."""
-    field = top.field
     n = top.size + bottom.size
-    z = field.zero()
-    rows = [[z] * n for _ in range(n)]
+    rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(top.size):
         for j in range(top.size):
             rows[i][j] = top.rows[i][j]
     for i in range(bottom.size):
         for j in range(bottom.size):
             rows[top.size + i][top.size + j] = bottom.rows[i][j]
-    return Matrix(rows, field)
+    return Matrix._trusted(rows)
 
 
 # ---------------------------------------------------------------- base case
@@ -172,47 +139,37 @@ def base_case_witness(lam, omegas, a: Matrix) -> WitnessAssignment:
     entries 0..d, and the variable matrix divides each off-diagonal
     entry by the appropriate power of the diagonal gap.
     """
-    field = a.field
-    lam = field.coerce(lam)
-    if lam == field.zero():
+    lam = as_rational(lam)
+    if not lam:
         raise PreconditionError("leading coefficient must be nonzero")
-    if a.trace() != field.zero():
-        raise PreconditionError(
-            f"target trace is {field.format(a.trace())}, expected 0"
-        )
+    if a.trace():
+        raise PreconditionError(f"target trace is {a.trace()}, expected 0")
     omegas = tuple(omegas)
     if list(omegas) != sorted(set(omegas)):
         raise PreconditionError("commuting indices must be strictly increasing")
     d = a.size
     m = len(omegas)
-    inv_lam = field.inverse(lam)
+    inv_lam = 1 / lam
     if m == 0:
-        return WitnessAssignment(d, {1: a.scale(inv_lam)}, {}, field)
+        return WitnessAssignment(d, {1: a.scale(inv_lam)}, {})
     p, h = hollow_similarity(a)
     s = d + 1
-    u = Matrix.diagonal([field.from_int(i) for i in range(s)], field)
-    z = field.zero()
-    rows = [[z] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(s):
-            if i == j:
-                continue
-            gap = field.from_int(i - j)
-            den = field.one()
-            for _ in range(m):
-                den = den * gap
-            rows[i][j] = h.rows[i][j] / den
-    x = Matrix(rows, field)
+    u = Matrix.diagonal(range(s))
+    rows = [
+        [h.rows[i][j] / (i - j) ** m if i != j else Fraction(0) for j in range(s)]
+        for i in range(s)
+    ]
+    x = Matrix._trusted(rows)
     pinv = inverse(p)
     x1 = (pinv * x * p).scale(inv_lam)
     uu = pinv * u * p
-    return WitnessAssignment(s, {1: x1}, {om: uu for om in omegas}, field)
+    return WitnessAssignment(s, {1: x1}, {om: uu for om in omegas})
 
 
 # ------------------------------------------------------------- closed form
 
 
-def shift_bracket_closed_form(k: int, j: int, block: int = 1, field: Field = QQ):
+def shift_bracket_closed_form(k: int, j: int, block: int = 1):
     """Value of j nested shift brackets applied to the bottom-left unit.
 
     Equals sum over s of (-1)^s C(j,s) placed at block position
@@ -221,12 +178,11 @@ def shift_bracket_closed_form(k: int, j: int, block: int = 1, field: Field = QQ)
     """
     if k < 0 or not (0 <= j <= k):
         raise PreconditionError(f"need 0 <= j <= k, got j={j}, k={k}")
-    eye = Matrix.identity(block, field)
-    zero = Matrix.zeros(block, field)
+    eye = Matrix.identity(block)
+    zero = Matrix.zeros(block)
     grid = [[zero for _ in range(k + 1)] for _ in range(k + 1)]
     for s in range(j + 1):
-        coeff = field.from_int((-1) ** s * math.comb(j, s))
-        grid[k - j + s][s] = eye.scale(coeff)
+        grid[k - j + s][s] = eye.scale((-1) ** s * math.comb(j, s))
     return block_flatten(grid)
 
 
@@ -249,19 +205,18 @@ def lift_witness(
         raise PreconditionError(f"slot {omegabar} does not have length {k}")
     if not set(omegabar) <= set(omega):
         raise PreconditionError("slot indices must come from the commuting set")
-    field = gw.field
     s = gw.size
     big = (k + 1) * s
     xbar = {i: embed(gw.x(i), big) for i in range(1, n)}
     xbar[n] = block_unit(k + 1, k + 1, 1, gw.u(n))
-    shift = cyclic_shift(k, s, field)
+    shift = cyclic_shift(k, s)
     ubar = {}
     for om in omega:
         if om in omegabar:
             ubar[om] = shift
         else:
             ubar[om] = block_diagonal([gw.u(om)] * (k + 1))
-    return WitnessAssignment(big, xbar, ubar, field)
+    return WitnessAssignment(big, xbar, ubar)
 
 
 # --------------------------------------------------------------- recursion
@@ -302,7 +257,7 @@ def reduce_step(f: AdmissiblePoly) -> ReductionStep:
         raise PreconditionError("reduction needs at least two variables")
     idx = reindex_by_position(f)
     k, omegabar = min_k_and_omegabar(idx, f.n)
-    marked = marked_form(idx, k, omegabar, f.n, f.omega, f.field)
+    marked = marked_form(idx, k, omegabar, f.n, f.omega)
     pi_part = marker_at_one(marked)
     if not pi_part.is_zero():
         return ReductionStep(k, omegabar, marked, pi_part, None, BRANCH_PI)
@@ -323,13 +278,10 @@ def construct_witness(f: AdmissiblePoly, a: Matrix) -> WitnessAssignment:
     to-1 branch the marker matrix is the identity, realizing the fact
     that values of the marker-free image are values of the marked form.
     """
-    field = f.field
     if f.is_zero():
         raise EmptyPolynomialError("cannot construct a witness for zero")
-    if a.trace() != field.zero():
-        raise PreconditionError(
-            f"target trace is {field.format(a.trace())}, expected 0"
-        )
+    if a.trace():
+        raise PreconditionError(f"target trace is {a.trace()}, expected 0")
     if f.n == 1:
         ((_, parts), lam) = next(iter(f.coeffs.items()))
         w = base_case_witness(lam, parts[0], a)
@@ -338,7 +290,7 @@ def construct_witness(f: AdmissiblePoly, a: Matrix) -> WitnessAssignment:
     step = reduce_step(f)
     if step.branch == BRANCH_PI:
         sub = construct_witness(step.pi_part, a)
-        gw = sub.with_u(f.n, Matrix.identity(sub.size, field))
+        gw = sub.with_u(f.n, Matrix.identity(sub.size))
     else:
         sub = construct_witness(step.rewritten, a)
         gw = sub

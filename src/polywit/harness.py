@@ -8,6 +8,7 @@ the engine honest and returns a printable summary.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from .construct import (
@@ -46,30 +47,26 @@ def verify(f: MultilinearPoly, w: WitnessAssignment, a: Matrix) -> bool:
     return evaluate(f, w) == embed(a, w.size)
 
 
+@dataclasses.dataclass
 class RunReport:
-    """Summary of one construction run."""
+    """Summary of one construction run.
 
-    __slots__ = ("poly", "d", "s", "verified", "wall_time", "trace", "field")
+    ``wall_time`` covers construction and verification together;
+    ``construct_s`` and ``verify_s`` split it (``verify_s`` is 0 when
+    verification was skipped).
+    """
 
-    def __init__(self, poly, d, s, verified, wall_time, trace, field):
-        self.poly = poly
-        self.d = d
-        self.s = s
-        self.verified = verified
-        self.wall_time = wall_time
-        self.trace = trace
-        self.field = field
+    poly: str
+    d: int
+    s: int
+    verified: bool
+    wall_time: float
+    construct_s: float
+    verify_s: float
+    trace: list
 
     def to_dict(self) -> dict:
-        return {
-            "poly": self.poly,
-            "d": self.d,
-            "s": self.s,
-            "verified": self.verified,
-            "wall_time": self.wall_time,
-            "trace": self.trace,
-            "field": self.field,
-        }
+        return {**dataclasses.asdict(self), "field": "rationals"}
 
 
 def run_witness(f: MultilinearPoly, a: Matrix, do_verify: bool = True):
@@ -80,10 +77,18 @@ def run_witness(f: MultilinearPoly, a: Matrix, do_verify: bool = True):
     """
     start = time.perf_counter()
     s, w = witness_for_multilinear(f, a)
+    built = time.perf_counter()
     verified = verify(f, w, a) if do_verify else False
-    elapsed = time.perf_counter() - start
+    done = time.perf_counter()
     report = RunReport(
-        poly_to_str(f), a.size, s, verified, elapsed, list(w.trace), f.field.name
+        poly=poly_to_str(f),
+        d=a.size,
+        s=s,
+        verified=verified,
+        wall_time=done - start,
+        construct_s=built - start,
+        verify_s=done - built,
+        trace=list(w.trace),
     )
     return w, report
 
@@ -185,29 +190,39 @@ _SUITES = [
 def selftest(cases: int = 25, seed: int = 0):
     """Run every suite ``cases`` times; returns (all passed, table rows).
 
-    Rows are (suite name, runs, failures).  A failure is a returned
-    False or an unexpected exception; either means the engine is wrong.
+    Rows are (suite name, runs, failures, first failure).  A failure is a
+    returned False or an unexpected exception; either means the engine is
+    wrong.  The first failure is None or (case index, case seed, detail),
+    where detail is the exception's repr or "returned False".
     """
     rows = []
     all_ok = True
     for name, check in _SUITES:
         failures = 0
+        first = None
         for i in range(cases):
             case_seed = seed * 100003 + i * 257
             try:
-                ok = check(i, case_seed)
-            except Exception:
-                ok = False
-            if not ok:
+                detail = None if check(i, case_seed) else "returned False"
+            except Exception as exc:
+                detail = repr(exc)
+            if detail is not None:
                 failures += 1
-        rows.append((name, cases, failures))
+                first = first or (i, case_seed, detail)
+        rows.append((name, cases, failures, first))
         all_ok = all_ok and failures == 0
     return all_ok, rows
 
 
 def format_selftest(rows) -> str:
-    width = max(len(name) for name, _, _ in rows)
+    width = max(len(row[0]) for row in rows)
     lines = [f"{'suite'.ljust(width)}  runs  failures"]
-    for name, runs, failures in rows:
+    for name, runs, failures, _ in rows:
         lines.append(f"{name.ljust(width)}  {runs:4d}  {failures:8d}")
+    for name, _, _, first in rows:
+        if first is not None:
+            i, case_seed, detail = first
+            lines.append(
+                f"{name}: first failure at case {i}, seed {case_seed}: {detail}"
+            )
     return "\n".join(lines)

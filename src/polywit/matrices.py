@@ -1,61 +1,103 @@
-"""Exact dense square-matrix arithmetic plus the block constructions
-(matrix units, embeddings, cyclic shifts, iterated commutators) the
-witness builder consumes.
+"""Exact dense square-matrix arithmetic over the rationals plus the block
+constructions (matrix units, embeddings, cyclic shifts, iterated
+commutators) the witness builder consumes.
 
-Everything is immutable and every comparison is exact; there is no
-floating point anywhere in this module.
+Every entry is a ``fractions.Fraction``.  Everything is immutable and
+every comparison is exact; there is no floating point anywhere in this
+module.  Entries are checked where data enters: the public ``Matrix``
+constructor coerces and validates, while matrices the package derives
+from existing ones go through ``Matrix._trusted``.
 """
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 from .errors import DimensionError, SingularMatrixError
-from .fields import QQ, Field
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# Stricter than Fraction(str), which also accepts "1.5" and "2e3".
+_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+))?\s*$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact value of an integer or ``p/q`` literal; ``ValueError`` otherwise."""
+    m = _RATIONAL_RE.match(text)
+    if not m:
+        raise ValueError(f"not a rational literal: {text!r}")
+    num, den = m.group(1), m.group(2)
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(int(num), int(den))
+
+
+def as_rational(value) -> Fraction:
+    """Convert an int, Fraction or rational literal; floats raise ``TypeError``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} to a rational exactly")
 
 
 class Matrix:
-    """Immutable square matrix with entries in an exact field."""
+    """Immutable square matrix with exact rational entries."""
 
-    __slots__ = ("size", "rows", "field")
+    __slots__ = ("size", "rows")
 
-    def __init__(self, rows, field: Field = QQ):
-        grid = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+    def __init__(self, rows):
+        grid = tuple(tuple(as_rational(x) for x in row) for row in rows)
         n = len(grid)
         if n == 0 or any(len(row) != n for row in grid):
             raise DimensionError("matrix data must be square and nonempty")
         self.size = n
         self.rows = grid
-        self.field = field
 
     # ---------------------------------------------------------------- constructors
 
     @classmethod
-    def zeros(cls, n: int, field: Field = QQ) -> "Matrix":
-        z = field.zero()
-        return cls([[z] * n for _ in range(n)], field)
+    def _trusted(cls, rows) -> "Matrix":
+        """Matrix from a nonempty square grid of Fractions; nothing is checked."""
+        m = object.__new__(cls)
+        m.rows = tuple(map(tuple, rows))
+        m.size = len(m.rows)
+        return m
 
     @classmethod
-    def identity(cls, n: int, field: Field = QQ) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)], field)
+    def zeros(cls, n: int) -> "Matrix":
+        return cls.diagonal([_ZERO] * n)
 
     @classmethod
-    def unit(cls, n: int, i: int, j: int, field: Field = QQ) -> "Matrix":
+    def identity(cls, n: int) -> "Matrix":
+        return cls.diagonal([_ONE] * n)
+
+    @classmethod
+    def unit(cls, n: int, i: int, j: int) -> "Matrix":
         """Matrix unit e_ij (1-based indices) in size n."""
         if not (1 <= i <= n and 1 <= j <= n):
             raise DimensionError(f"unit position ({i},{j}) outside size {n}")
-        z, o = field.zero(), field.one()
-        return cls(
-            [[o if (r, c) == (i - 1, j - 1) else z for c in range(n)] for r in range(n)],
-            field,
+        return cls._trusted(
+            [
+                [_ONE if (r, c) == (i - 1, j - 1) else _ZERO for c in range(n)]
+                for r in range(n)
+            ]
         )
 
     @classmethod
-    def diagonal(cls, entries, field: Field = QQ) -> "Matrix":
-        entries = [field.coerce(x) for x in entries]
-        z = field.zero()
+    def diagonal(cls, entries) -> "Matrix":
+        entries = [as_rational(x) for x in entries]
         n = len(entries)
-        return cls(
-            [[entries[i] if i == j else z for j in range(n)] for i in range(n)], field
+        if n == 0:
+            raise DimensionError("matrix data must be square and nonempty")
+        return cls._trusted(
+            [[entries[i] if i == j else _ZERO for j in range(n)] for i in range(n)]
         )
 
     # ---------------------------------------------------------------- arithmetic
@@ -63,75 +105,53 @@ class Matrix:
     def _check_same_shape(self, other: "Matrix"):
         if self.size != other.size:
             raise DimensionError(f"size mismatch: {self.size} vs {other.size}")
-        if self.field is not other.field:
-            raise DimensionError("matrices live over different fields")
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.field,
+        return Matrix._trusted(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.field,
+        return Matrix._trusted(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows], self.field)
+        return Matrix._trusted([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_shape(other)
-        n = self.size
         cols = list(zip(*other.rows))
-        return Matrix(
+        return Matrix._trusted(
             [
                 [sum(a * b for a, b in zip(row, col)) for col in cols]
                 for row in self.rows
-            ],
-            self.field,
+            ]
         )
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        return Matrix([[c * a for a in row] for row in self.rows], self.field)
+        c = as_rational(c)
+        return Matrix._trusted([[c * a for a in row] for row in self.rows])
 
     def __rmul__(self, c) -> "Matrix":
         if isinstance(c, Matrix):
             return NotImplemented
         return self.scale(c)
 
-    def __pow__(self, k: int) -> "Matrix":
-        if k < 0:
-            raise ValueError("negative powers are not supported; invert explicitly")
-        acc = Matrix.identity(self.size, self.field)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     # ---------------------------------------------------------------- queries
 
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(self.size)), self.field.zero())
+    def trace(self) -> Fraction:
+        return sum(self.rows[i][i] for i in range(self.size))
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(a == z for row in self.rows for a in row)
+        return not any(a for row in self.rows for a in row)
 
     def has_zero_diagonal(self) -> bool:
-        z = self.field.zero()
-        return all(self.rows[i][i] == z for i in range(self.size))
+        return not any(self.rows[i][i] for i in range(self.size))
 
     def __getitem__(self, pos):
         """Entry at 1-based (row, column), matching the e_ij convention."""
@@ -149,9 +169,7 @@ class Matrix:
         return hash(self.rows)
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.field.format(a) for a in row) for row in self.rows
-        )
+        body = "; ".join(" ".join(str(a) for a in row) for row in self.rows)
         return f"Matrix[{body}]"
 
 
@@ -178,12 +196,11 @@ def embed(a: Matrix, s: int) -> Matrix:
     """Place ``a`` in the top-left corner of an s-by-s zero matrix."""
     if s < a.size:
         raise DimensionError(f"cannot embed size {a.size} into smaller size {s}")
-    z = a.field.zero()
     rows = [
-        [a.rows[i][j] if i < a.size and j < a.size else z for j in range(s)]
+        [a.rows[i][j] if i < a.size and j < a.size else _ZERO for j in range(s)]
         for i in range(s)
     ]
-    return Matrix(rows, a.field)
+    return Matrix._trusted(rows)
 
 
 def block_flatten(blocks) -> Matrix:
@@ -198,7 +215,6 @@ def block_flatten(blocks) -> Matrix:
     if b == 0 or any(len(row) != b for row in grid):
         raise DimensionError("block grid must be square and nonempty")
     s = grid[0][0].size
-    field = grid[0][0].field
     for row in grid:
         for blk in row:
             if blk.size != s:
@@ -207,12 +223,12 @@ def block_flatten(blocks) -> Matrix:
     for bi in range(b):
         for i in range(s):
             rows.append([grid[bi][bj].rows[i][j] for bj in range(b) for j in range(s)])
-    return Matrix(rows, field)
+    return Matrix._trusted(rows)
 
 
 def block_unit(count: int, i: int, j: int, block: Matrix) -> Matrix:
     """count*size matrix with ``block`` at block position (i, j), 1-based."""
-    z = Matrix.zeros(block.size, block.field)
+    z = Matrix.zeros(block.size)
     grid = [
         [block if (bi, bj) == (i - 1, j - 1) else z for bj in range(count)]
         for bi in range(count)
@@ -225,13 +241,13 @@ def block_diagonal(blocks) -> Matrix:
     blocks = list(blocks)
     if not blocks:
         raise DimensionError("block_diagonal needs at least one block")
-    z = Matrix.zeros(blocks[0].size, blocks[0].field)
+    z = Matrix.zeros(blocks[0].size)
     n = len(blocks)
     grid = [[blocks[i] if i == j else z for j in range(n)] for i in range(n)]
     return block_flatten(grid)
 
 
-def cyclic_shift(k: int, block: int, field: Field = QQ) -> Matrix:
+def cyclic_shift(k: int, block: int) -> Matrix:
     """Cyclic shift on k+1 blocks of the given size.
 
     Identity blocks sit at block positions (1,2), (2,3), ..., (k, k+1)
@@ -242,8 +258,8 @@ def cyclic_shift(k: int, block: int, field: Field = QQ) -> Matrix:
         raise DimensionError("k must be nonnegative")
     if block < 1:
         raise DimensionError("block size must be positive")
-    eye = Matrix.identity(block, field)
-    zero = Matrix.zeros(block, field)
+    eye = Matrix.identity(block)
+    zero = Matrix.zeros(block)
     n = k + 1
     grid = [[zero for _ in range(n)] for _ in range(n)]
     for i in range(k):
@@ -258,7 +274,7 @@ def cyclic_shift(k: int, block: int, field: Field = QQ) -> Matrix:
 # every result below is deterministic.
 
 
-def rref_with_transform(rows, field: Field = QQ):
+def rref_with_transform(rows):
     """Full reduced row echelon form with the row operations recorded.
 
     Returns ``(reduced, transform, pivots)`` where ``transform`` is a
@@ -268,21 +284,20 @@ def rref_with_transform(rows, field: Field = QQ):
     work = [list(row) for row in rows]
     m = len(work)
     ncols = len(work[0]) if m else 0
-    z, o = field.zero(), field.one()
-    transform = [[o if i == j else z for j in range(m)] for i in range(m)]
+    transform = [[_ONE if i == j else _ZERO for j in range(m)] for i in range(m)]
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, m) if work[i][c] != z), None)
+        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         transform[r], transform[pivot] = transform[pivot], transform[r]
-        inv = o / work[r][c]
+        inv = _ONE / work[r][c]
         work[r] = [inv * x for x in work[r]]
         transform[r] = [inv * x for x in transform[r]]
         for i in range(m):
-            if i != r and work[i][c] != z:
+            if i != r and work[i][c] != 0:
                 factor = work[i][c]
                 work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
                 transform[i] = [
@@ -295,32 +310,21 @@ def rref_with_transform(rows, field: Field = QQ):
     return work, transform, pivots
 
 
-def rank_of_rows(rows, field: Field = QQ) -> int:
+def rank_of_rows(rows) -> int:
     if not rows:
         return 0
-    _, _, pivots = rref_with_transform(rows, field)
+    _, _, pivots = rref_with_transform(rows)
     return len(pivots)
 
 
 def inverse(p: Matrix) -> Matrix:
     """Exact inverse via elimination on the identity-augmented matrix."""
     n = p.size
-    o, z = p.field.one(), p.field.zero()
     aug = [
-        list(p.rows[i]) + [o if i == j else z for j in range(n)] for i in range(n)
+        list(p.rows[i]) + [_ONE if i == j else _ZERO for j in range(n)]
+        for i in range(n)
     ]
-    reduced, _, pivots = rref_with_transform(aug, p.field)
+    reduced, _, pivots = rref_with_transform(aug)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular, no exact inverse exists")
-    return Matrix([row[n:] for row in reduced], p.field)
-
-
-def rank(a: Matrix) -> int:
-    return rank_of_rows([list(row) for row in a.rows], a.field)
-
-
-def similarity(p: Matrix, a: Matrix) -> Matrix:
-    """Conjugate: p a p^-1.  Raises SingularMatrixError if p is singular."""
-    if p.size != a.size:
-        raise DimensionError(f"size mismatch: {p.size} vs {a.size}")
-    return p * a * inverse(p)
+    return Matrix._trusted(row[n:] for row in reduced)

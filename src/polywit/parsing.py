@@ -20,7 +20,6 @@ import re
 from fractions import Fraction
 
 from .errors import MultilinearityError, PolynomialSyntaxError
-from .fields import QQ, Field
 from .polynomials import MultilinearPoly
 
 _TOKEN_RE = re.compile(
@@ -119,7 +118,7 @@ class _Parser:
         return terms
 
 
-def parse_poly(text: str, field: Field = QQ) -> MultilinearPoly:
+def parse_poly(text: str) -> MultilinearPoly:
     """Parse and validate a multilinear polynomial from text."""
     if not text or not text.strip():
         raise PolynomialSyntaxError("empty input", 1)
@@ -133,12 +132,12 @@ def parse_poly(text: str, field: Field = QQ) -> MultilinearPoly:
                 f"monomial {monomial} must use X1..X{n} exactly once each"
             )
         key = tuple(variables)
-        total = coeffs.get(key, field.zero()) + field.coerce(coeff)
-        if total == field.zero():
+        total = coeffs.get(key, 0) + coeff
+        if total == 0:
             coeffs.pop(key, None)
         else:
             coeffs[key] = total
-    return MultilinearPoly(n, coeffs, field)
+    return MultilinearPoly(n, coeffs)
 
 
 def poly_to_str(f: MultilinearPoly) -> str:
@@ -149,7 +148,7 @@ def poly_to_str(f: MultilinearPoly) -> str:
     for sigma, lam in f.items_sorted():
         word = "*".join(f"X{v}" for v in sigma)
         mag = -lam if lam < 0 else lam
-        body = word if mag == f.field.one() else f"{f.field.format(mag)}*{word}"
+        body = word if mag == 1 else f"{mag}*{word}"
         if not pieces:
             pieces.append(body if lam > 0 else f"-{body}")
         else:

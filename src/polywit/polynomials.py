@@ -1,8 +1,11 @@
 """Multilinear and admissible partially commutative polynomial algebra.
 
-Scalars never leave the exact field, so every zero test below is a real
-zero test.  The zero polynomial is an empty coefficient map in every
+Scalars are exact ``Fraction``s, so every zero test below is a real zero
+test.  The zero polynomial is an empty coefficient map in every
 representation, and all constructors drop zero coefficients on entry.
+The public constructors also validate their keys; the reduction builds
+its results through ``_trusted`` constructors that only drop zeros,
+because its keys are well formed by construction.
 
 An admissible basis element is indexed by a permutation together with a
 partition of the commuting index set into per-variable slots; the term
@@ -25,8 +28,7 @@ from .errors import (
     NotAdmissibleError,
     PreconditionError,
 )
-from .fields import QQ, Field
-from .matrices import Matrix, iterated_commutator, rref_with_transform
+from .matrices import Matrix, as_rational, iterated_commutator, rref_with_transform
 from .witness import WitnessAssignment
 
 
@@ -100,19 +102,18 @@ def enumerate_partitions(omega, n: int):
 class MultilinearPoly:
     """Sum of lambda_sigma * X_{sigma(1)}...X_{sigma(n)} over permutations."""
 
-    __slots__ = ("n", "coeffs", "field")
+    __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs, field: Field = QQ):
+    def __init__(self, n: int, coeffs):
         if n < 1:
             raise DimensionError("degree must be positive")
         self.n = n
-        self.field = field
         clean = {}
         for sigma, lam in dict(coeffs).items():
             sigma = tuple(sigma)
             _check_perm(sigma, n)
-            lam = field.coerce(lam)
-            if lam != field.zero():
+            lam = as_rational(lam)
+            if lam:
                 clean[sigma] = lam
         self.coeffs = clean
 
@@ -134,24 +135,32 @@ class MultilinearPoly:
 class AdmissiblePoly:
     """Linear combination of commutator-decorated permutation words."""
 
-    __slots__ = ("n", "omega", "coeffs", "field")
+    __slots__ = ("n", "omega", "coeffs")
 
-    def __init__(self, n: int, omega, coeffs, field: Field = QQ):
+    def __init__(self, n: int, omega, coeffs):
         if n < 1:
             raise DimensionError("variable count must be positive")
         self.n = n
         self.omega = _check_omega(omega, n)
-        self.field = field
         clean = {}
         for (sigma, parts), lam in dict(coeffs).items():
             sigma = tuple(sigma)
             parts = tuple(tuple(p) for p in parts)
             _check_perm(sigma, n)
             _check_partition(parts, n, self.omega)
-            lam = field.coerce(lam)
-            if lam != field.zero():
+            lam = as_rational(lam)
+            if lam:
                 clean[(sigma, parts)] = lam
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, n: int, omega: tuple, coeffs: dict) -> "AdmissiblePoly":
+        """Polynomial from keys already in normal form; only zeros are dropped."""
+        f = object.__new__(cls)
+        f.n = n
+        f.omega = omega
+        f.coeffs = {key: lam for key, lam in coeffs.items() if lam}
+        return f
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -206,14 +215,13 @@ class PCPoly:
     kept sorted, so equality of polynomials is equality of term maps.
     """
 
-    __slots__ = ("n", "omega", "terms", "field")
+    __slots__ = ("n", "omega", "terms")
 
-    def __init__(self, n: int, omega, terms, field: Field = QQ):
+    def __init__(self, n: int, omega, terms):
         if n < 0:
             raise DimensionError("variable count must be nonnegative")
         self.n = n
         self.omega = tuple(sorted(set(omega)))
-        self.field = field
         clean = {}
         for word, c in dict(terms).items():
             xs, segs = _norm_word(word)
@@ -221,30 +229,30 @@ class PCPoly:
                 raise DimensionError(f"word letter outside X1..X{n}: {xs}")
             if any(w not in self.omega for seg in segs for w in seg):
                 raise DimensionError("word uses a commuting index outside omega")
-            c = field.coerce(c)
-            if c != field.zero():
-                clean[(xs, segs)] = clean.get((xs, segs), field.zero()) + c
-                if clean[(xs, segs)] == field.zero():
+            c = as_rational(c)
+            if c:
+                clean[(xs, segs)] = clean.get((xs, segs), 0) + c
+                if not clean[(xs, segs)]:
                     del clean[(xs, segs)]
         self.terms = clean
 
     # -------------------------------------------------- constructors
 
     @classmethod
-    def zero(cls, n, omega, field: Field = QQ):
-        return cls(n, omega, {}, field)
+    def zero(cls, n, omega):
+        return cls(n, omega, {})
 
     @classmethod
-    def one(cls, n, omega, field: Field = QQ):
-        return cls(n, omega, {EMPTY_WORD: field.one()}, field)
+    def one(cls, n, omega):
+        return cls(n, omega, {EMPTY_WORD: 1})
 
     @classmethod
-    def x_var(cls, i, n, omega, field: Field = QQ):
-        return cls(n, omega, {((i,), ((), ())): field.one()}, field)
+    def x_var(cls, i, n, omega):
+        return cls(n, omega, {((i,), ((), ())): 1})
 
     @classmethod
-    def u_var(cls, w, n, omega, field: Field = QQ):
-        return cls(n, omega, {((), ((w,),)): field.one()}, field)
+    def u_var(cls, w, n, omega):
+        return cls(n, omega, {((), ((w,),)): 1})
 
     # -------------------------------------------------- arithmetic
 
@@ -253,36 +261,33 @@ class PCPoly:
             raise DimensionError("polynomials live over different variable sets")
         terms = dict(self.terms)
         for word, c in other.terms.items():
-            terms[word] = terms.get(word, self.field.zero()) + sign * c
-        return PCPoly(self.n, self.omega, terms, self.field)
+            terms[word] = terms.get(word, 0) + sign * c
+        return PCPoly(self.n, self.omega, terms)
 
     def __add__(self, other):
-        return self._combine(other, self.field.one())
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, -self.field.one())
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self.scale(-self.field.one())
+        return self.scale(-1)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        return PCPoly(
-            self.n, self.omega, {w: c * v for w, v in self.terms.items()}, self.field
-        )
+        c = as_rational(c)
+        return PCPoly(self.n, self.omega, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, PCPoly):
             return NotImplemented
         if self.n != other.n or self.omega != other.omega:
             raise DimensionError("polynomials live over different variable sets")
-        zero = self.field.zero()
         terms = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = word_mul(w1, w2)
-                terms[w] = terms.get(w, zero) + c1 * c2
-        return PCPoly(self.n, self.omega, terms, self.field)
+                terms[w] = terms.get(w, 0) + c1 * c2
+        return PCPoly(self.n, self.omega, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -314,9 +319,9 @@ class MarkedPoly:
     only the first n-1 slots plus the marker matrix.
     """
 
-    __slots__ = ("n", "omega", "omegabar", "coeffs", "field")
+    __slots__ = ("n", "omega", "omegabar", "coeffs")
 
-    def __init__(self, n: int, omega, omegabar, coeffs, field: Field = QQ):
+    def __init__(self, n: int, omega, omegabar, coeffs):
         if n < 2:
             raise DimensionError("marked form needs at least two variables")
         self.n = n
@@ -324,7 +329,6 @@ class MarkedPoly:
         self.omegabar = tuple(omegabar)
         if any(w not in self.omega for w in self.omegabar):
             raise DimensionError("omegabar must be drawn from omega")
-        self.field = field
         clean = {}
         for (sigma, j, parts), lam in dict(coeffs).items():
             sigma = tuple(sigma)
@@ -337,10 +341,20 @@ class MarkedPoly:
                 raise DimensionError(
                     f"stored slot {parts[n - 1]} differs from omegabar"
                 )
-            lam = field.coerce(lam)
-            if lam != field.zero():
+            lam = as_rational(lam)
+            if lam:
                 clean[(sigma, j, parts)] = lam
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, n: int, omega: tuple, omegabar: tuple, coeffs: dict):
+        """Marked form from keys already in normal form; only zeros are dropped."""
+        g = object.__new__(cls)
+        g.n = n
+        g.omega = omega
+        g.omegabar = omegabar
+        g.coeffs = {key: lam for key, lam in coeffs.items() if lam}
+        return g
 
     @property
     def marker(self) -> int:
@@ -384,26 +398,26 @@ class MarkedPoly:
 def from_multilinear(f: MultilinearPoly) -> AdmissiblePoly:
     """View a multilinear polynomial as admissible with no commuting part."""
     empty = ((),) * f.n
-    return AdmissiblePoly(
-        f.n, (), {(sigma, empty): lam for sigma, lam in f.coeffs.items()}, f.field
+    return AdmissiblePoly._trusted(
+        f.n, (), {(sigma, empty): lam for sigma, lam in f.coeffs.items()}
     )
 
 
-def _expand_factor(var: int, slot, n: int, omega, field: Field) -> PCPoly:
-    acc = PCPoly.x_var(var, n, omega, field)
+def _expand_factor(var: int, slot, n: int, omega) -> PCPoly:
+    acc = PCPoly.x_var(var, n, omega)
     for w in reversed(slot):
-        u = PCPoly.u_var(w, n, omega, field)
+        u = PCPoly.u_var(w, n, omega)
         acc = u * acc - acc * u
     return acc
 
 
 def expand_admissible(f: AdmissiblePoly) -> PCPoly:
     """Multiply out every nested commutator into normal-form words."""
-    out = PCPoly.zero(f.n, f.omega, f.field)
+    out = PCPoly.zero(f.n, f.omega)
     for (sigma, parts), lam in f.coeffs.items():
-        term = PCPoly.one(f.n, f.omega, f.field)
+        term = PCPoly.one(f.n, f.omega)
         for var in sigma:
-            term = term * _expand_factor(var, parts[var - 1], f.n, f.omega, f.field)
+            term = term * _expand_factor(var, parts[var - 1], f.n, f.omega)
         out = out + term.scale(lam)
     return out
 
@@ -412,14 +426,14 @@ def expand_marked(g: MarkedPoly) -> PCPoly:
     """Normal form of a marked polynomial, over n-1 variables plus marker."""
     n_red = g.n - 1
     omega = g.omega_with_marker
-    out = PCPoly.zero(n_red, omega, g.field)
-    marker = PCPoly.u_var(g.marker, n_red, omega, g.field)
+    out = PCPoly.zero(n_red, omega)
+    marker = PCPoly.u_var(g.marker, n_red, omega)
     for (sigma, j, parts), lam in g.coeffs.items():
-        term = PCPoly.one(n_red, omega, g.field)
+        term = PCPoly.one(n_red, omega)
         for pos, var in enumerate(sigma, start=1):
             if pos == j:
                 term = term * marker
-            term = term * _expand_factor(var, parts[var - 1], n_red, omega, g.field)
+            term = term * _expand_factor(var, parts[var - 1], n_red, omega)
         if j == g.n:
             term = term * marker
         out = out + term.scale(lam)
@@ -430,12 +444,11 @@ def substitute_u_one(p: PCPoly, omega_index: int) -> PCPoly:
     """Send one commuting variable to 1, merging the words that collide."""
     omega = tuple(w for w in p.omega if w != omega_index)
     terms = {}
-    zero = p.field.zero()
     for (xs, segs), c in p.terms.items():
         segs2 = tuple(tuple(w for w in seg if w != omega_index) for seg in segs)
         key = (xs, segs2)
-        terms[key] = terms.get(key, zero) + c
-    return PCPoly(p.n, omega, terms, p.field)
+        terms[key] = terms.get(key, 0) + c
+    return PCPoly(p.n, omega, terms)
 
 
 # -------------------------------------------------------------------- extraction
@@ -443,7 +456,7 @@ def substitute_u_one(p: PCPoly, omega_index: int) -> PCPoly:
 _EXTRACTION_CACHE = {}
 
 
-def _extraction_system(n: int, omega, field: Field):
+def _extraction_system(n: int, omega):
     """Solver data for recovering admissible coefficients from words.
 
     Returns (basis, word_row, solve_rows, words) where ``solve_rows`` are
@@ -451,7 +464,7 @@ def _extraction_system(n: int, omega, field: Field):
     to a word-coordinate vector yields the unique candidate coefficients.
     Full column rank of the expansion matrix is checked once here.
     """
-    key = (n, tuple(omega), field.name)
+    key = (n, tuple(omega))
     cached = _EXTRACTION_CACHE.get(key)
     if cached is not None:
         return cached
@@ -461,17 +474,16 @@ def _extraction_system(n: int, omega, field: Field):
         for parts in enumerate_partitions(omega, n)
     ]
     expansions = [
-        expand_admissible(AdmissiblePoly(n, omega, {b: field.one()}, field))
+        expand_admissible(AdmissiblePoly(n, omega, {b: 1}))
         for b in basis
     ]
     words = sorted({w for e in expansions for w in e.terms})
     word_row = {w: r for r, w in enumerate(words)}
-    zero = field.zero()
-    matrix = [[zero] * len(basis) for _ in words]
+    matrix = [[0] * len(basis) for _ in words]
     for c, e in enumerate(expansions):
         for w, coeff in e.terms.items():
             matrix[word_row[w]][c] = coeff
-    _, transform, pivots = rref_with_transform(matrix, field)
+    _, transform, pivots = rref_with_transform(matrix)
     if pivots != list(range(len(basis))):
         raise InternalInvariantError(
             "admissible basis expansions are linearly dependent at "
@@ -484,10 +496,10 @@ def _extraction_system(n: int, omega, field: Field):
     return result
 
 
-def extraction_has_full_column_rank(n: int, omega, field: Field = QQ) -> bool:
+def extraction_has_full_column_rank(n: int, omega) -> bool:
     """Computational check of the basis independence at one (n, omega)."""
     try:
-        _extraction_system(n, tuple(sorted(omega)), field)
+        _extraction_system(n, tuple(sorted(omega)))
     except InternalInvariantError:
         return False
     return True
@@ -501,10 +513,8 @@ def extract_coefficients(p: PCPoly, n: int, omega) -> AdmissiblePoly:
     admissible span are rejected no matter how they fail.
     """
     omega = tuple(sorted(omega))
-    field = p.field
-    basis, word_row, solve_rows, words = _extraction_system(n, omega, field)
-    zero = field.zero()
-    vec = [zero] * len(words)
+    basis, word_row, solve_rows, words = _extraction_system(n, omega)
+    vec = [0] * len(words)
     for w, c in p.terms.items():
         row = word_row.get(w)
         if row is None:
@@ -515,10 +525,10 @@ def extract_coefficients(p: PCPoly, n: int, omega) -> AdmissiblePoly:
         vec[row] = c
     coeffs = {}
     for c, row in enumerate(solve_rows):
-        lam = sum((rv * vv for rv, vv in zip(row, vec) if vv != zero), zero)
-        if lam != zero:
+        lam = sum(rv * vv for rv, vv in zip(row, vec) if vv)
+        if lam:
             coeffs[basis[c]] = lam
-    result = AdmissiblePoly(n, omega, coeffs, field)
+    result = AdmissiblePoly(n, omega, coeffs)
     if expand_admissible(result) != p:
         raise NotAdmissibleError(
             "polynomial is not in the span of the admissible basis for "
@@ -535,9 +545,9 @@ def _eval_decorated(var: int, slot, w: WitnessAssignment) -> Matrix:
 
 
 def _eval_multilinear(f: MultilinearPoly, w: WitnessAssignment) -> Matrix:
-    out = Matrix.zeros(w.size, w.field)
+    out = Matrix.zeros(w.size)
     for sigma, lam in f.coeffs.items():
-        term = Matrix.identity(w.size, w.field)
+        term = Matrix.identity(w.size)
         for var in sigma:
             term = term * w.x(var)
         out = out + term.scale(lam)
@@ -545,9 +555,9 @@ def _eval_multilinear(f: MultilinearPoly, w: WitnessAssignment) -> Matrix:
 
 
 def _eval_admissible(f: AdmissiblePoly, w: WitnessAssignment) -> Matrix:
-    out = Matrix.zeros(w.size, w.field)
+    out = Matrix.zeros(w.size)
     for (sigma, parts), lam in f.coeffs.items():
-        term = Matrix.identity(w.size, w.field)
+        term = Matrix.identity(w.size)
         for var in sigma:
             term = term * _eval_decorated(var, parts[var - 1], w)
         out = out + term.scale(lam)
@@ -555,9 +565,9 @@ def _eval_admissible(f: AdmissiblePoly, w: WitnessAssignment) -> Matrix:
 
 
 def _eval_pc(p: PCPoly, w: WitnessAssignment) -> Matrix:
-    out = Matrix.zeros(w.size, w.field)
+    out = Matrix.zeros(w.size)
     for (xs, segs), c in p.terms.items():
-        term = Matrix.identity(w.size, w.field)
+        term = Matrix.identity(w.size)
         for seg, var in zip(segs, xs + (None,)):
             for om in seg:
                 term = term * w.u(om)
@@ -568,10 +578,10 @@ def _eval_pc(p: PCPoly, w: WitnessAssignment) -> Matrix:
 
 
 def _eval_marked(g: MarkedPoly, w: WitnessAssignment) -> Matrix:
-    out = Matrix.zeros(w.size, w.field)
+    out = Matrix.zeros(w.size)
     marker = w.u(g.marker)
     for (sigma, j, parts), lam in g.coeffs.items():
-        term = Matrix.identity(w.size, w.field)
+        term = Matrix.identity(w.size)
         for pos, var in enumerate(sigma, start=1):
             if pos == j:
                 term = term * marker
@@ -615,15 +625,14 @@ def reindex_by_position(f: AdmissiblePoly):
     return idx
 
 
-def merge_position_index(n: int, omega, idx, field: Field = QQ) -> AdmissiblePoly:
+def merge_position_index(n: int, omega, idx) -> AdmissiblePoly:
     """Inverse of reindex_by_position."""
     coeffs = {}
-    zero = field.zero()
     for (tau, j, parts), lam in idx.items():
         sigma = insert_symbol(tuple(tau), j, n)
         key = (sigma, tuple(tuple(p) for p in parts))
-        coeffs[key] = coeffs.get(key, zero) + lam
-    return AdmissiblePoly(n, omega, coeffs, field)
+        coeffs[key] = coeffs.get(key, 0) + lam
+    return AdmissiblePoly(n, omega, coeffs)
 
 
 def min_k_and_omegabar(idx, n: int):
@@ -641,7 +650,7 @@ def min_k_and_omegabar(idx, n: int):
     return k, omegabar
 
 
-def marked_form(idx, k: int, omegabar, n: int, omega, field: Field = QQ) -> MarkedPoly:
+def marked_form(idx, k: int, omegabar, n: int, omega) -> MarkedPoly:
     """Restrict to terms whose top slot is ``omegabar`` and bare the marker."""
     omegabar = tuple(omegabar)
     if len(omegabar) != k:
@@ -653,7 +662,7 @@ def marked_form(idx, k: int, omegabar, n: int, omega, field: Field = QQ) -> Mark
         raise InternalInvariantError(
             "no coefficient carries the selected slot; the slot choice is broken"
         )
-    return MarkedPoly(n, omega, omegabar, coeffs, field)
+    return MarkedPoly._trusted(n, tuple(omega), omegabar, coeffs)
 
 
 def marker_at_one(g: MarkedPoly) -> AdmissiblePoly:
@@ -663,12 +672,11 @@ def marker_at_one(g: MarkedPoly) -> AdmissiblePoly:
     surviving coefficient is the sum over marker positions.  The result
     may be zero; that is the branch signal for the reduction.
     """
-    zero = g.field.zero()
     coeffs = {}
     for (sigma, _, parts), lam in g.coeffs.items():
         key = (sigma, parts[: g.n - 1])
-        coeffs[key] = coeffs.get(key, zero) + lam
-    return AdmissiblePoly(g.n - 1, g.omega_remaining, coeffs, g.field)
+        coeffs[key] = coeffs.get(key, 0) + lam
+    return AdmissiblePoly._trusted(g.n - 1, g.omega_remaining, coeffs)
 
 
 def marker_into_brackets(g: MarkedPoly) -> AdmissiblePoly:
@@ -684,20 +692,19 @@ def marker_into_brackets(g: MarkedPoly) -> AdmissiblePoly:
         raise PreconditionError(
             "marker elimination requires the marker-to-1 image to vanish"
         )
-    zero = g.field.zero()
     groups = {}
     for (sigma, j, parts), lam in g.coeffs.items():
         groups.setdefault((sigma, parts[: g.n - 1]), {})[j] = lam
     coeffs = {}
     for (sigma, parts), by_pos in groups.items():
-        running = zero
+        running = 0
         for i in range(1, g.n):
-            running = running + by_pos.get(i, zero)
-            if running == zero:
+            running = running + by_pos.get(i, 0)
+            if not running:
                 continue
             var = sigma[i - 1]
             slots = list(parts)
             slots[var - 1] = (g.marker,) + slots[var - 1]
             key = (sigma, tuple(slots))
-            coeffs[key] = coeffs.get(key, zero) + running
-    return AdmissiblePoly(g.n - 1, g.omega_with_marker, coeffs, g.field)
+            coeffs[key] = coeffs.get(key, 0) + running
+    return AdmissiblePoly._trusted(g.n - 1, g.omega_with_marker, coeffs)

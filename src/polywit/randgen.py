@@ -10,7 +10,6 @@ import random
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError
-from .fields import QQ
 from .matrices import Matrix
 from .polynomials import (
     AdmissiblePoly,
@@ -192,4 +191,4 @@ def random_commuting_assignment(
         for p in powers:
             acc = acc + p.scale(_scalar(rng))
         u_assign[w] = acc
-    return WitnessAssignment(size, x_assign, u_assign, QQ)
+    return WitnessAssignment(size, x_assign, u_assign)

@@ -1,44 +1,59 @@
 """JSON encodings for matrices, witnesses, and the polynomial types.
 
 All scalar entries travel as exact rational strings ("3/2" or "7"), so
-round trips never lose precision.  Shape problems raise DimensionError;
-bad scalar literals raise ValueError from the field parser.
+round trips never lose precision.  The decoders are a trust boundary:
+shape and type problems raise DimensionError, and bad scalar literals
+raise ValueError from ``parse_rational``, which rejects "1.5", "2e3"
+and "3/0".
 """
 
 from __future__ import annotations
 
 from .construct import ReductionStep
 from .errors import DimensionError
-from .fields import QQ, Field
-from .matrices import Matrix
+from .matrices import Matrix, parse_rational
 from .polynomials import AdmissiblePoly, MarkedPoly, PCPoly
 from .witness import WitnessAssignment
+
+
+def _int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DimensionError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DimensionError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _int_list(value, what: str) -> list:
+    return [_int(v, what) for v in _list(value, what)]
+
 
 # ------------------------------------------------------------------ matrices
 
 
 def matrix_to_json(m: Matrix) -> dict:
-    return {
-        "size": m.size,
-        "rows": [[m.field.format(entry) for entry in row] for row in m.rows],
-    }
+    return {"size": m.size, "rows": [[str(entry) for entry in row] for row in m.rows]}
 
 
-def matrix_from_json(obj, field: Field = QQ) -> Matrix:
+def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, dict) or "size" not in obj or "rows" not in obj:
         raise DimensionError("matrix object needs 'size' and 'rows'")
     size = obj["size"]
-    rows = obj["rows"]
-    if not isinstance(size, int) or size < 1:
+    rows = _list(obj["rows"], "matrix rows")
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
         raise DimensionError(f"matrix size must be a positive integer, got {size!r}")
-    if not isinstance(rows, list) or len(rows) != size:
+    if len(rows) != size:
         raise DimensionError(f"expected {size} rows, got {len(rows)}")
     parsed = []
     for row in rows:
         if not isinstance(row, list) or len(row) != size:
             raise DimensionError(f"expected {size} entries per row")
-        parsed.append([field.parse(str(entry)) for entry in row])
-    return Matrix(parsed, field)
+        parsed.append([parse_rational(str(entry)) for entry in row])
+    return Matrix._trusted(parsed)
 
 
 # ----------------------------------------------------------------- witnesses
@@ -57,15 +72,15 @@ def witness_to_json(
     }
 
 
-def _indexed_matrices(obj, label: str, field: Field):
+def _indexed_matrices(obj, label: str):
     if not isinstance(obj, dict):
-        raise DimensionError(f"witness field {label!r} must be an object")
+        raise DimensionError(f"witness {label!r} must be an object")
     out = {}
     for key, doc in obj.items():
         index = int(key)
         if index < 1:
             raise DimensionError(f"{label} index {key!r} must be positive")
-        out[index] = matrix_from_json(doc, field)
+        out[index] = matrix_from_json(doc)
     return out
 
 
@@ -82,15 +97,15 @@ def _clean_trace(raw) -> list:
             )
         steps.append(
             {
-                "k": int(entry["k"]),
-                "omegabar": [int(v) for v in entry["omegabar"]],
+                "k": _int(entry["k"], "trace k"),
+                "omegabar": _int_list(entry["omegabar"], "trace omegabar"),
                 "branch": str(entry["branch"]),
             }
         )
     return steps
 
 
-def witness_from_json(obj, field: Field = QQ):
+def witness_from_json(obj):
     """Decode a witness document to (assignment, target, verified flag)."""
     if not isinstance(obj, dict):
         raise DimensionError("witness document must be an object")
@@ -98,16 +113,15 @@ def witness_from_json(obj, field: Field = QQ):
     if missing:
         raise DimensionError(f"witness document missing {sorted(missing)}")
     size = obj["s"]
-    if not isinstance(size, int) or size < 1:
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
         raise DimensionError(f"witness size must be a positive integer, got {size!r}")
     w = WitnessAssignment(
         size,
-        _indexed_matrices(obj["x"], "x", field),
-        _indexed_matrices(obj["u"], "u", field),
-        field,
+        _indexed_matrices(obj["x"], "x"),
+        _indexed_matrices(obj["u"], "u"),
         trace=_clean_trace(obj.get("trace")),
     )
-    target = matrix_from_json(obj["target"], field)
+    target = matrix_from_json(obj["target"])
     return w, target, bool(obj["verified"])
 
 
@@ -119,13 +133,13 @@ def admissible_to_json(f: AdmissiblePoly) -> list:
         {
             "sigma": list(sigma),
             "parts": [list(p) for p in parts],
-            "coeff": f.field.format(lam),
+            "coeff": str(lam),
         }
         for (sigma, parts), lam in f.items_sorted()
     ]
 
 
-def admissible_from_json(records, field: Field = QQ) -> AdmissiblePoly:
+def admissible_from_json(records) -> AdmissiblePoly:
     if not isinstance(records, list):
         raise DimensionError("admissible polynomial must be a list of records")
     if not records:
@@ -138,15 +152,16 @@ def admissible_from_json(records, field: Field = QQ) -> AdmissiblePoly:
     for rec in records:
         if not isinstance(rec, dict) or {"sigma", "parts", "coeff"} - set(rec):
             raise DimensionError("records need sigma, parts, and coeff")
-        sigma = tuple(int(v) for v in rec["sigma"])
-        parts = tuple(tuple(int(w) for w in p) for p in rec["parts"])
+        sigma = tuple(_int_list(rec["sigma"], "sigma"))
+        slots = _list(rec["parts"], "parts")
+        parts = tuple(tuple(_int_list(p, "parts slot")) for p in slots)
         if n is None:
             n = len(sigma)
         omega.update(w for p in parts for w in p)
-        lam = field.parse(str(rec["coeff"]))
+        lam = parse_rational(str(rec["coeff"]))
         key = (sigma, parts)
-        coeffs[key] = coeffs.get(key, field.zero()) + lam
-    return AdmissiblePoly(n, tuple(sorted(omega)), coeffs, field)
+        coeffs[key] = coeffs.get(key, 0) + lam
+    return AdmissiblePoly(n, tuple(sorted(omega)), coeffs)
 
 
 def pcpoly_to_json(p: PCPoly) -> dict:
@@ -157,7 +172,7 @@ def pcpoly_to_json(p: PCPoly) -> dict:
             {
                 "xs": list(xs),
                 "us": [list(seg) for seg in segs],
-                "coeff": p.field.format(c),
+                "coeff": str(c),
             }
             for (xs, segs), c in p.items_sorted()
         ],
@@ -174,7 +189,7 @@ def marked_to_json(g: MarkedPoly) -> dict:
                 "sigma": list(sigma),
                 "j": j,
                 "parts": [list(p) for p in parts],
-                "coeff": g.field.format(lam),
+                "coeff": str(lam),
             }
             for (sigma, j, parts), lam in g.items_sorted()
         ],

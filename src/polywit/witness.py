@@ -5,7 +5,6 @@ pairwise commutation checked exactly at construction time."""
 from __future__ import annotations
 
 from .errors import ArityError, CommutativityError, DimensionError
-from .fields import QQ, Field
 from .matrices import Matrix
 
 
@@ -17,15 +16,14 @@ class WitnessAssignment:
     level first.  It is bookkeeping only and takes no part in equality.
     """
 
-    __slots__ = ("size", "x_assign", "u_assign", "field", "trace")
+    __slots__ = ("size", "x_assign", "u_assign", "trace")
 
-    def __init__(self, size: int, x_assign, u_assign, field: Field = QQ, trace=None):
+    def __init__(self, size: int, x_assign, u_assign, trace=None):
         if size < 1:
             raise DimensionError("witness size must be positive")
         self.size = size
         self.x_assign = dict(x_assign)
         self.u_assign = dict(u_assign)
-        self.field = field
         self.trace = list(trace) if trace is not None else []
         for label, mapping in (("X", self.x_assign), ("U", self.u_assign)):
             for key, mat in mapping.items():
@@ -58,7 +56,7 @@ class WitnessAssignment:
         """Copy of the assignment with one commuting slot replaced or added."""
         u_new = dict(self.u_assign)
         u_new[omega] = mat
-        return WitnessAssignment(self.size, self.x_assign, u_new, self.field)
+        return WitnessAssignment(self.size, self.x_assign, u_new)
 
     def __eq__(self, other):
         if not isinstance(other, WitnessAssignment):

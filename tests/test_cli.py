@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from polywit import cli, harness
 from polywit.cli import run
 from polywit.matrices import Matrix
 from polywit.serialize import matrix_to_json
@@ -41,6 +42,8 @@ def test_witness_writes_verified_document(target_file, tmp_path, capsys):
     assert report["verified"] is True
     assert report["field"] == "rationals"
     assert report["wall_time"] >= 0
+    assert report["construct_s"] >= 0 and report["verify_s"] >= 0
+    assert report["construct_s"] + report["verify_s"] <= report["wall_time"]
     assert report["trace"] == [{"k": 0, "omegabar": [], "branch": "rewrite"}]
 
 
@@ -208,6 +211,33 @@ def test_selftest_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("PW_SEED", "11")
     assert run(["selftest", "--cases", "2"]) == 0
     capsys.readouterr()
+
+
+def test_selftest_reports_first_failure(monkeypatch, capsys):
+    def flaky(i, seed):
+        if i == 2:
+            raise ZeroDivisionError("case two")
+        return i != 3
+
+    monkeypatch.setattr(harness, "_SUITES", [("flaky suite", flaky)])
+    ok, rows = harness.selftest(cases=5, seed=4)
+    assert not ok
+    seed2 = 4 * 100003 + 2 * 257
+    assert rows == [("flaky suite", 5, 2, (2, seed2, "ZeroDivisionError('case two')"))]
+    assert run(["selftest", "--cases", "5", "--seed", "4"]) == 2
+    out = capsys.readouterr().out
+    assert f"seed {seed2}" in out
+    assert "ZeroDivisionError('case two')" in out
+    assert "result: FAIL" in out
+
+
+def test_internal_type_error_is_not_an_input_error(monkeypatch):
+    def broken(args):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "_cmd_partitions", broken)
+    with pytest.raises(TypeError):
+        run(["partitions", "--n", "1"])
 
 
 def test_input_error_exit_codes(target_file, tmp_path, capsys):

@@ -14,7 +14,6 @@ from polywit.construct import (
     hollow_similarity,
     lift_witness,
     reduce_step,
-    scalar_case_basis,
     shift_bracket_closed_form,
     size_bound,
     witness_for_multilinear,
@@ -32,12 +31,14 @@ from polywit.matrices import (
 )
 from polywit.polynomials import (
     AdmissiblePoly,
+    MarkedPoly,
     MultilinearPoly,
     evaluate,
     from_multilinear,
     merge_position_index,
 )
 from polywit.randgen import (
+    random_admissible,
     random_commuting_assignment,
     random_marked,
     random_multilinear,
@@ -74,16 +75,6 @@ def test_hollow_rejects_nonzero_trace():
     with pytest.raises(PreconditionError) as err:
         hollow_similarity(Matrix([[Fraction(5, 3)]]))
     assert "5/3" in str(err.value)
-
-
-def test_scalar_case_basis_invertible():
-    for d in (1, 2, 4):
-        q = scalar_case_basis(d)
-        inverse(q)
-        for i in range(1, d + 1):
-            assert q[i, i] == 1 and q[d + 1, i] == 1
-            assert q[i, d + 1] == -1
-        assert q[d + 1, d + 1] == 1
 
 
 @settings(deadline=None, max_examples=40)
@@ -229,6 +220,32 @@ def test_reduce_step_rejects_degenerate_inputs():
         reduce_step(AdmissiblePoly(2, (), {}))
     with pytest.raises(PreconditionError):
         reduce_step(from_multilinear(MultilinearPoly(1, {(1,): 1})))
+
+
+_REDUCTION_SHAPES = [(2, ()), (3, ()), (4, ()), (2, (3,)), (2, (3, 4)), (3, (4,))]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, len(_REDUCTION_SHAPES) - 1), st.integers(0, 10 ** 6))
+def test_trusted_constructors_match_checked(shape, seed):
+    """Every polynomial the reduction builds without validation passes it."""
+    n, omega = _REDUCTION_SHAPES[shape]
+    starts = [random_admissible(n, omega, density=0.5, seed=seed)]
+    if not omega:
+        starts.append(from_multilinear(random_multilinear(n, 0.6, seed)))
+    built = list(starts)
+    for f in starts:
+        while f.n > 1:
+            step = reduce_step(f)
+            f = step.pi_part if step.branch == BRANCH_PI else step.rewritten
+            built += [step.marked, step.pi_part, f]
+    for p in built:
+        if isinstance(p, MarkedPoly):
+            checked = MarkedPoly(p.n, p.omega, p.omegabar, p.coeffs)
+        else:
+            checked = AdmissiblePoly(p.n, p.omega, p.coeffs)
+        assert p == checked
+        assert all(type(lam) is Fraction and lam for lam in p.coeffs.values())
 
 
 # ---------------------------------------------------------------- recursion

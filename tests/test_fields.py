@@ -1,4 +1,6 @@
-"""Rational field backend behavior."""
+"""The one scalar field, the rationals: every entry is a ``Fraction``,
+and literals are checked where they enter, by the JSON matrix decoder
+and the public ``Matrix`` constructor."""
 
 from fractions import Fraction
 
@@ -6,25 +8,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polywit.fields import QQ
+from polywit.errors import SingularMatrixError
+from polywit.matrices import Matrix, inverse
+from polywit.serialize import matrix_from_json, matrix_to_json
+
+
+def _scalar(text):
+    return matrix_from_json({"size": 1, "rows": [[text]]})[1, 1]
 
 
 def test_basic_constants():
-    assert QQ.zero() == Fraction(0)
-    assert QQ.one() == Fraction(1)
-    assert QQ.characteristic() == 0
-    assert QQ.name == "rationals"
+    a = Matrix([[1, 2], [3, 4]])
+    built = [Matrix.zeros(2), Matrix.identity(2), a * a, inverse(a), a.scale(1)]
+    for m in built:
+        assert all(type(x) is Fraction for row in m.rows for x in row)
+    assert Matrix.zeros(1)[1, 1] == Fraction(0)
+    assert Matrix.identity(1)[1, 1] == Fraction(1)
 
 
 def test_coerce_accepts_exact_inputs():
-    assert QQ.coerce(3) == Fraction(3)
-    assert QQ.coerce("3/2") == Fraction(3, 2)
-    assert QQ.coerce(Fraction(-7, 4)) == Fraction(-7, 4)
+    m = Matrix([[3, "3/2"], [Fraction(-7, 4), 0]])
+    assert m.rows == ((Fraction(3), Fraction(3, 2)), (Fraction(-7, 4), Fraction(0)))
 
 
 def test_coerce_rejects_floats():
     with pytest.raises(TypeError):
-        QQ.coerce(0.5)
+        Matrix([[0.5]])
 
 
 @pytest.mark.parametrize(
@@ -33,21 +42,23 @@ def test_coerce_rejects_floats():
      ("+5/10", Fraction(1, 2)), (" 4 / 6 ", Fraction(2, 3))],
 )
 def test_parse_literals(text, value):
-    assert QQ.parse(text) == value
+    assert _scalar(text) == value
 
 
 @pytest.mark.parametrize("text", ["", "x", "1.5", "3/0", "1/2/3", "2e3"])
 def test_parse_rejects_non_literals(text):
     with pytest.raises(ValueError):
-        QQ.parse(text)
+        _scalar(text)
 
 
 def test_inverse():
-    assert QQ.inverse(Fraction(3, 2)) == Fraction(2, 3)
-    with pytest.raises(ZeroDivisionError):
-        QQ.inverse(Fraction(0))
+    assert inverse(Matrix([["3/2"]])) == Matrix([["2/3"]])
+    with pytest.raises(SingularMatrixError):
+        inverse(Matrix([[0]]))
 
 
 @given(st.fractions())
 def test_format_parse_round_trip(q):
-    assert QQ.parse(QQ.format(q)) == q
+    doc = matrix_to_json(Matrix([[q]]))
+    assert doc["rows"] == [[str(q)]]
+    assert _scalar(doc["rows"][0][0]) == q

@@ -17,10 +17,8 @@ from polywit.matrices import (
     embed,
     inverse,
     iterated_commutator,
-    rank,
     rank_of_rows,
     rref_with_transform,
-    similarity,
 )
 from polywit.randgen import random_invertible, random_matrix
 
@@ -45,10 +43,6 @@ def test_arithmetic_small():
     assert Fraction(2) * a == a + a
     assert a.trace() == 5
     assert a[1, 2] == 2
-    assert a ** 0 == Matrix.identity(2)
-    assert a ** 2 == a * a
-    with pytest.raises(ValueError):
-        a ** -1
 
 
 def test_shape_mismatch_rejected():
@@ -109,7 +103,7 @@ def test_cyclic_shift():
     assert cyclic_shift(0, 2) == Matrix.identity(2)
     v = cyclic_shift(2, 1)
     assert v == Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert v ** 3 == Matrix.identity(3)
+    assert v * v * v == Matrix.identity(3)
     w = cyclic_shift(1, 2)
     assert w[1, 3] == 1 and w[3, 1] == 1 and w[2, 4] == 1
 
@@ -127,7 +121,7 @@ def test_rref_with_transform():
             acc = sum(transform[r][k] * rows[k][c] for k in range(3))
             assert acc == reduced[r][c]
     assert rank_of_rows(rows) == 2
-    assert rank(Matrix([[1, 2], [2, 4]])) == 1
+    assert rank_of_rows([[1, 2], [2, 4]]) == 1
 
 
 def test_inverse_and_similarity():
@@ -136,8 +130,8 @@ def test_inverse_and_similarity():
     with pytest.raises(SingularMatrixError):
         inverse(Matrix([[1, 2], [2, 4]]))
     a = Matrix([[0, 1], [0, 0]])
-    assert similarity(Matrix.identity(2), a) == a
-    conj = similarity(p, a)
+    assert Matrix.identity(2) * a * inverse(Matrix.identity(2)) == a
+    conj = p * a * inverse(p)
     assert conj.trace() == a.trace()
 
 

@@ -45,6 +45,9 @@ def test_matrix_round_trip():
         {"rows": [["1"]]},
         {"size": 1},
         {"size": "2", "rows": [["1", "0"], ["0", "1"]]},
+        {"size": True, "rows": [["1"]]},
+        {"size": 2, "rows": 7},
+        {"size": 1, "rows": None},
     ],
 )
 def test_matrix_rejects_bad_shapes(doc):
@@ -93,6 +96,35 @@ def test_witness_rejects_bad_trace_shape():
         witness_from_json(doc)
 
 
+def _small_witness_doc(**changes):
+    doc = {
+        "s": 1,
+        "x": {"1": {"size": 1, "rows": [["0"]]}},
+        "u": {},
+        "target": {"size": 1, "rows": [["0"]]},
+        "verified": False,
+        "trace": [{"k": 0, "omegabar": [], "branch": "rewrite"}],
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"s": True},
+        {"trace": [{"k": 0, "omegabar": 3, "branch": "pi"}]},
+        {"trace": [{"k": 0, "omegabar": [1.5], "branch": "pi"}]},
+        {"trace": [{"k": None, "omegabar": [], "branch": "pi"}]},
+        {"trace": [{"k": True, "omegabar": [], "branch": "pi"}]},
+    ],
+)
+def test_witness_rejects_bad_types(changes):
+    witness_from_json(_small_witness_doc())
+    with pytest.raises(DimensionError):
+        witness_from_json(_small_witness_doc(**changes))
+
+
 def test_witness_rejects_noncommuting_u():
     doc = {
         "s": 2,
@@ -136,6 +168,21 @@ def test_admissible_rejects_empty_and_malformed():
                 {"sigma": [1], "parts": [[3]], "coeff": "1"},
             ]
         )
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"sigma": 1, "parts": [[]], "coeff": "1"},
+        {"sigma": [1], "parts": 2, "coeff": "1"},
+        {"sigma": [1], "parts": [2], "coeff": "1"},
+        {"sigma": [1.0], "parts": [[]], "coeff": "1"},
+        {"sigma": [True], "parts": [[]], "coeff": "1"},
+    ],
+)
+def test_admissible_rejects_non_list_fields(record):
+    with pytest.raises(DimensionError):
+        admissible_from_json([record])
 
 
 def test_pcpoly_to_json_shape():
