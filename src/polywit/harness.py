@@ -1,14 +1,16 @@
 """Verification and self-checking on top of the construction engine.
 
-``verify`` re-evaluates the polynomial on the witness from scratch and
-compares with the embedded target; it never trusts flags produced by
-the constructor.  ``selftest`` runs the randomized suites used to keep
+``verify`` re-checks a witness exactly, in integer arithmetic, without
+calling the constructor, ``evaluate`` or any ``Matrix`` arithmetic; the
+dense ``Fraction`` evaluator ``polynomials.evaluate`` is the oracle it is
+tested against.  ``selftest`` runs the randomized suites used to keep
 the engine honest and returns a printable summary.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 from .construct import (
@@ -41,10 +43,66 @@ from .witness import WitnessAssignment
 
 
 def verify(f: MultilinearPoly, w: WitnessAssignment, a: Matrix) -> bool:
-    """True iff evaluating f on the witness reproduces the embedded target."""
+    """True iff f evaluated on the witness equals the target embedded top-left.
+
+    f is multilinear, so f(c_1 X_1, ..., c_n X_n) = c_1...c_n f(X).  Each
+    X_i is scaled by the LCM c_i of its entry denominators and the
+    coefficients by the LCM L of theirs, which makes every number an
+    ``int``; the scaled value is compared with c_1...c_n L times the
+    embedded target.  The value is built one column e_j at a time, right
+    to left, with sparse matrix-vector products over a trie of the
+    reversed words, so words sharing a suffix share its products and a
+    suffix that maps e_j to zero is dropped with every word ending in it.
+    """
     if w.size < a.size:
         return False
-    return evaluate(f, w) == embed(a, w.size)
+    scale = math.lcm(*(lam.denominator for lam in f.coeffs.values()))
+    trie = {}
+    for sigma, lam in f.coeffs.items():
+        node = trie
+        for var in reversed(sigma[1:]):
+            node = node.setdefault(var, {})
+        node[sigma[0]] = lam.numerator * (scale // lam.denominator)
+    cols = {}
+    for var in sorted({v for sigma in f.coeffs for v in sigma}):
+        rows = w.x(var).rows
+        lcm = math.lcm(*(x.denominator for row in rows for x in row))
+        cols[var] = [
+            [(r, x.numerator * (lcm // x.denominator)) for r, x in enumerate(col) if x]
+            for col in zip(*rows)
+        ]
+        scale *= lcm
+    for j in range(w.size):
+        got = {}
+        _accumulate(trie, cols, {j: 1}, got)
+        target = [row[j] for row in a.rows] if j < a.size else []
+        want = {r: x * scale for r, x in enumerate(target) if x}
+        if {r: y for r, y in got.items() if y} != want:
+            return False
+    return True
+
+
+def _accumulate(node, cols, vec, out):
+    """Add to ``out`` the sum, over the words below ``node``, of the word's
+    coefficient times the word applied to ``vec``.
+
+    Vectors are sparse {index: int} maps and ``cols[var]`` lists each
+    column of X_var as (row, int) pairs.
+    """
+    for var, child in node.items():
+        x_cols = cols[var]
+        prod = {}
+        for c, v in vec.items():
+            for r, x in x_cols[c]:
+                prod[r] = prod.get(r, 0) + x * v
+        prod = {r: y for r, y in prod.items() if y}
+        if not prod:
+            continue
+        if isinstance(child, dict):
+            _accumulate(child, cols, prod, out)
+        else:
+            for r, y in prod.items():
+                out[r] = out.get(r, 0) + child * y
 
 
 @dataclasses.dataclass
@@ -103,6 +161,18 @@ def _check_witness(i: int, seed: int) -> bool:
     a = random_trace_zero(d, seed=seed + 1)
     s, w = witness_for_multilinear(f, a)
     return verify(f, w, a) and s <= size_bound(d, w.trace)
+
+
+def _check_integer_verify(i: int, seed: int) -> bool:
+    f = random_multilinear(1 + i % 4, density=0.7, seed=seed)
+    a = random_trace_zero(1 + (i // 4) % 3, seed=seed + 1)
+    _, w = witness_for_multilinear(f, a)
+    rows = [list(row) for row in a.rows]
+    rows[-1][0] += 1
+    targets = (a, Matrix(rows))
+    value = evaluate(f, w)
+    oracle = [value == embed(t, w.size) for t in targets]
+    return oracle == [True, False] and [verify(f, w, t) for t in targets] == oracle
 
 
 def _check_hollow(i: int, seed: int) -> bool:
@@ -178,6 +248,7 @@ def _check_extraction(i: int, seed: int) -> bool:
 
 _SUITES = [
     ("witness construction", _check_witness),
+    ("integer verify", _check_integer_verify),
     ("hollow similarity", _check_hollow),
     ("shift bracket form", _check_shift_bracket),
     ("marker image", _check_marker_image),

@@ -18,7 +18,9 @@ checking that its linear system has full column rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from .errors import (
     ArityError,
@@ -544,12 +546,18 @@ def _eval_decorated(var: int, slot, w: WitnessAssignment) -> Matrix:
     return iterated_commutator([w.u(om) for om in slot], w.x(var))
 
 
+def _product(factors, size: int) -> Matrix:
+    """Ordered product of the factor matrices; the identity for an empty word."""
+    factors = list(factors)
+    if not factors:
+        return Matrix.identity(size)
+    return functools.reduce(operator.mul, factors)
+
+
 def _eval_multilinear(f: MultilinearPoly, w: WitnessAssignment) -> Matrix:
     out = Matrix.zeros(w.size)
     for sigma, lam in f.coeffs.items():
-        term = Matrix.identity(w.size)
-        for var in sigma:
-            term = term * w.x(var)
+        term = _product((w.x(var) for var in sigma), w.size)
         out = out + term.scale(lam)
     return out
 
@@ -557,9 +565,9 @@ def _eval_multilinear(f: MultilinearPoly, w: WitnessAssignment) -> Matrix:
 def _eval_admissible(f: AdmissiblePoly, w: WitnessAssignment) -> Matrix:
     out = Matrix.zeros(w.size)
     for (sigma, parts), lam in f.coeffs.items():
-        term = Matrix.identity(w.size)
-        for var in sigma:
-            term = term * _eval_decorated(var, parts[var - 1], w)
+        term = _product(
+            (_eval_decorated(var, parts[var - 1], w) for var in sigma), w.size
+        )
         out = out + term.scale(lam)
     return out
 
@@ -567,13 +575,12 @@ def _eval_admissible(f: AdmissiblePoly, w: WitnessAssignment) -> Matrix:
 def _eval_pc(p: PCPoly, w: WitnessAssignment) -> Matrix:
     out = Matrix.zeros(w.size)
     for (xs, segs), c in p.terms.items():
-        term = Matrix.identity(w.size)
+        factors = []
         for seg, var in zip(segs, xs + (None,)):
-            for om in seg:
-                term = term * w.u(om)
+            factors.extend(w.u(om) for om in seg)
             if var is not None:
-                term = term * w.x(var)
-        out = out + term.scale(c)
+                factors.append(w.x(var))
+        out = out + _product(factors, w.size).scale(c)
     return out
 
 
@@ -581,14 +588,14 @@ def _eval_marked(g: MarkedPoly, w: WitnessAssignment) -> Matrix:
     out = Matrix.zeros(w.size)
     marker = w.u(g.marker)
     for (sigma, j, parts), lam in g.coeffs.items():
-        term = Matrix.identity(w.size)
+        factors = []
         for pos, var in enumerate(sigma, start=1):
             if pos == j:
-                term = term * marker
-            term = term * _eval_decorated(var, parts[var - 1], w)
+                factors.append(marker)
+            factors.append(_eval_decorated(var, parts[var - 1], w))
         if j == g.n:
-            term = term * marker
-        out = out + term.scale(lam)
+            factors.append(marker)
+        out = out + _product(factors, w.size).scale(lam)
     return out
 
 

@@ -9,11 +9,15 @@ and "3/0".
 
 from __future__ import annotations
 
+import re
+
 from .construct import ReductionStep
 from .errors import DimensionError
 from .matrices import Matrix, parse_rational
 from .polynomials import AdmissiblePoly, MarkedPoly, PCPoly
 from .witness import WitnessAssignment
+
+_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 def _int(value, what: str) -> int:
@@ -77,10 +81,13 @@ def _indexed_matrices(obj, label: str):
         raise DimensionError(f"witness {label!r} must be an object")
     out = {}
     for key, doc in obj.items():
-        index = int(key)
-        if index < 1:
-            raise DimensionError(f"{label} index {key!r} must be positive")
-        out[index] = matrix_from_json(doc)
+        # int() alone also takes "01", " 1" and "1_0", so two keys could
+        # fill one slot, the last silently winning, or "1_0" could fill X10.
+        if not (isinstance(key, str) and _INDEX_RE.fullmatch(key)):
+            raise DimensionError(
+                f"{label} index {key!r} must be a positive integer in canonical form"
+            )
+        out[int(key)] = matrix_from_json(doc)
     return out
 
 

@@ -33,6 +33,8 @@ from polywit.matrices import (
 )
 from polywit.parsing import parse_poly
 from polywit.polynomials import (
+    MultilinearPoly,
+    all_permutations,
     evaluate,
     expand_admissible,
     extract_coefficients,
@@ -89,6 +91,28 @@ def test_criterion_end_to_end():
         ok,
         f"{runs} runs in {elapsed:.2f}s",
     )
+
+
+def _standard(n: int) -> MultilinearPoly:
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+
+    return MultilinearPoly(n, {p: sign(p) for p in all_permutations(n)})
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (7, 2)])
+def test_criterion_standard_polynomial_lift(n, d):
+    """s_6 and s_7 reach the k=1 lift twice and still verify exactly."""
+    a = random_trace_zero(d, seed=n)
+    s, w = witness_for_multilinear(_standard(n), a)
+    levels = [(e["k"], tuple(e["omegabar"]), e["branch"]) for e in w.trace]
+    ok = (
+        verify(_standard(n), w, a)
+        and s <= size_bound(d, w.trace)
+        and (1, (4,), "pi") in levels
+        and (1, (5,), "pi") in levels
+    )
+    _report(f"s_{n} at d={d}: verified through the k=1 lift", ok, f"s={s}")
 
 
 def test_criterion_commutator_walkthrough():

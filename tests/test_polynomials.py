@@ -242,6 +242,24 @@ def test_evaluate_pc_matches_expand():
         assert evaluate(f, w) == evaluate(expand_admissible(f), w)
 
 
+def test_evaluate_starts_each_term_at_its_first_factor(monkeypatch):
+    f = random_multilinear(4, density=1.0, seed=2)
+    w = random_commuting_assignment(range(1, 5), (), size=2, seed=3)
+    want = evaluate(f, w)
+    calls = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    assert evaluate(f, w) == want
+    # 24 words of 4 letters: 3 products each, none against an identity.
+    assert len(calls) == 24 * 3
+    assert evaluate(PCPoly.one(0, ()), w) == Matrix.identity(2)
+
+
 # ----------------------------------------------------------------- reduction
 
 

@@ -125,6 +125,16 @@ def test_witness_rejects_bad_types(changes):
         witness_from_json(_small_witness_doc(**changes))
 
 
+@pytest.mark.parametrize(
+    "keys", [("1", "01"), ("1_0",), ("0",), ("-1",), ("+1",), (" 1",), ("1\n",), ("x",)]
+)
+def test_witness_rejects_noncanonical_keys(keys):
+    one = {"size": 1, "rows": [["0"]]}
+    for label in ("x", "u"):
+        with pytest.raises(DimensionError):
+            witness_from_json(_small_witness_doc(**{label: {k: one for k in keys}}))
+
+
 def test_witness_rejects_noncommuting_u():
     doc = {
         "s": 2,
