@@ -1,18 +1,23 @@
-"""Exact dense square-matrix arithmetic over the rationals plus the block
+"""Exact square-matrix arithmetic over the rationals plus the block
 constructions (matrix units, embeddings, cyclic shifts, iterated
 commutators) the witness builder consumes.
 
 Every entry is a ``fractions.Fraction``.  Everything is immutable and
 every comparison is exact; there is no floating point anywhere in this
-module.  Entries are checked where data enters: the public ``Matrix``
-constructor coerces and validates, while matrices the package derives
-from existing ones go through ``Matrix._trusted``.
+module.  Products clear denominators first: each row of the left factor
+and each column of the right one is scaled to integers by the LCM of
+its denominators, the nonzero entries are multiplied as ``int``s, and
+each result entry is divided by its two scales once.  Entries are
+checked where data enters: the public ``Matrix`` constructor coerces
+and validates, while matrices the package derives from existing ones go
+through ``Matrix._trusted``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError, SingularMatrixError
 
@@ -45,6 +50,14 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to a rational exactly")
+
+
+def _int_pairs(entries):
+    """``(m, pairs)``: m is the LCM of the denominators of ``entries``, and
+    ``pairs`` holds ``(index, m * entry)`` for each nonzero entry."""
+    nonzero = [(k, a) for k, a in enumerate(entries) if a]
+    m = lcm(*(a.denominator for _, a in nonzero))
+    return m, [(k, a.numerator * (m // a.denominator)) for k, a in nonzero]
 
 
 class Matrix:
@@ -122,16 +135,33 @@ class Matrix:
         return Matrix._trusted([[-a for a in row] for row in self.rows])
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Exact product through a sparse integer kernel.
+
+        Row i of ``self`` times r_i and column j of ``other`` times c_j
+        are integer vectors, so entry (i, j) is their dot product over
+        r_i * c_j.  Only nonzero entries take part on either side.
+        """
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_shape(other)
-        cols = list(zip(*other.rows))
-        return Matrix._trusted(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.rows
-            ]
-        )
+        col_lcms = []
+        right = [[] for _ in range(other.size)]
+        for j, col in enumerate(zip(*other.rows)):
+            c, pairs = _int_pairs(col)
+            col_lcms.append(c)
+            for k, b in pairs:
+                right[k].append((j, b))
+        rows = []
+        for row in self.rows:
+            r, pairs = _int_pairs(row)
+            acc = [0] * other.size
+            for k, a in pairs:
+                for j, b in right[k]:
+                    acc[j] += a * b
+            rows.append(
+                [Fraction(v, r * c) if v else _ZERO for v, c in zip(acc, col_lcms)]
+            )
+        return Matrix._trusted(rows)
 
     def scale(self, c) -> "Matrix":
         c = as_rational(c)
@@ -318,13 +348,8 @@ def rank_of_rows(rows) -> int:
 
 
 def inverse(p: Matrix) -> Matrix:
-    """Exact inverse via elimination on the identity-augmented matrix."""
-    n = p.size
-    aug = [
-        list(p.rows[i]) + [_ONE if i == j else _ZERO for j in range(n)]
-        for i in range(n)
-    ]
-    reduced, _, pivots = rref_with_transform(aug)
-    if pivots != list(range(n)):
+    """Exact inverse: the row operations that reduce ``p`` to the identity."""
+    _, transform, pivots = rref_with_transform(p.rows)
+    if len(pivots) != p.size:
         raise SingularMatrixError("matrix is singular, no exact inverse exists")
-    return Matrix._trusted(row[n:] for row in reduced)
+    return Matrix._trusted(transform)

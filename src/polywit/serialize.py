@@ -52,11 +52,19 @@ def matrix_from_json(obj) -> Matrix:
         raise DimensionError(f"matrix size must be a positive integer, got {size!r}")
     if len(rows) != size:
         raise DimensionError(f"expected {size} rows, got {len(rows)}")
+    values = {}  # each distinct literal is parsed, and so checked, once
     parsed = []
     for row in rows:
         if not isinstance(row, list) or len(row) != size:
             raise DimensionError(f"expected {size} entries per row")
-        parsed.append([parse_rational(str(entry)) for entry in row])
+        parsed_row = []
+        for entry in row:
+            text = str(entry)
+            value = values.get(text)
+            if value is None:
+                value = values[text] = parse_rational(text)
+            parsed_row.append(value)
+        parsed.append(parsed_row)
     return Matrix._trusted(parsed)
 
 

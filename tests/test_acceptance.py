@@ -100,17 +100,20 @@ def _standard(n: int) -> MultilinearPoly:
     return MultilinearPoly(n, {p: sign(p) for p in all_permutations(n)})
 
 
-@pytest.mark.parametrize("n, d", [(6, 3), (7, 2)])
+# The omegabar slots at which s_n takes the (pi, k=1) lift.
+_STANDARD_LIFTS = {6: (4, 5), 7: (4, 5), 8: (5, 6, 7)}
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (7, 2), (8, 2)])
 def test_criterion_standard_polynomial_lift(n, d):
-    """s_6 and s_7 reach the k=1 lift twice and still verify exactly."""
+    """s_6, s_7 and s_8 reach the k=1 lift and still verify exactly."""
     a = random_trace_zero(d, seed=n)
     s, w = witness_for_multilinear(_standard(n), a)
     levels = [(e["k"], tuple(e["omegabar"]), e["branch"]) for e in w.trace]
     ok = (
         verify(_standard(n), w, a)
         and s <= size_bound(d, w.trace)
-        and (1, (4,), "pi") in levels
-        and (1, (5,), "pi") in levels
+        and all((1, (slot,), "pi") in levels for slot in _STANDARD_LIFTS[n])
     )
     _report(f"s_{n} at d={d}: verified through the k=1 lift", ok, f"s={s}")
 

@@ -154,3 +154,113 @@ def test_transform_reproduces_rref(size, seed):
             acc = sum(transform[r][k] * rows[k][c] for k in range(size))
             assert acc == reduced[r][c]
     assert len(pivots) == rank_of_rows(rows)
+
+
+# ------------------------------------------------------------- kernel oracles
+
+
+def _textbook_product(a, b):
+    """Row-by-column sums of Fraction products, the definition of a * b."""
+    cols = list(zip(*b.rows))
+    return Matrix._trusted(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows]
+    )
+
+
+def _augmented_inverse(p):
+    """Inverse read off the right half of the reduced [p | I]."""
+    n = p.size
+    aug = [list(p.rows[i]) + [Fraction(i == j) for j in range(n)] for i in range(n)]
+    reduced, _, pivots = rref_with_transform(aug)
+    assert pivots == list(range(n))
+    return Matrix._trusted(row[n:] for row in reduced)
+
+
+def _assert_same_product(a, b):
+    got, want = a * b, _textbook_product(a, b)
+    assert all(type(x) is Fraction for row in got.rows for x in row)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(-60, 60),
+        st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12, 35, 2**61 - 1]),
+    ),
+    st.builds(Fraction, st.integers(-(2**1000), 2**1000), st.integers(1, 2**1000)),
+)
+
+
+@st.composite
+def _matrices(draw, n):
+    rows = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        rows[i] = [Fraction(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1))):
+        for row in rows:
+            row[j] = Fraction(0)
+    return Matrix(rows)
+
+
+@st.composite
+def _pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(_matrices(n)), draw(_matrices(n))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_pairs())
+def test_product_matches_textbook_oracle(pair):
+    a, b = pair
+    _assert_same_product(a, b)
+    _assert_same_product(b, a)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 5).flatmap(_matrices))
+def test_product_with_identity_and_zero(m):
+    n = m.size
+    for other in (Matrix.identity(n), Matrix.zeros(n)):
+        _assert_same_product(m, other)
+        _assert_same_product(other, m)
+    assert m * Matrix.identity(n) == m == Matrix.identity(n) * m
+    assert (m * Matrix.zeros(n)).is_zero() and (Matrix.zeros(n) * m).is_zero()
+
+
+def test_product_small_cases():
+    one_by_one = Matrix([["-2/3"]]) * Matrix([["9/4"]])
+    assert one_by_one.rows == ((Fraction(-3, 2),),)
+    _assert_same_product(Matrix([[0]]), Matrix([[5]]))
+    # Coprime denominators cancel to integers; a zero row stays zero.
+    a = Matrix([["1/2", "1/3"], [0, 0]])
+    b = Matrix([[2, 0], [3, "1/7"]])
+    assert a * b == Matrix([[2, "1/21"], [0, 0]])
+    _assert_same_product(a, b)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 6), st.integers(0, 10 ** 6))
+def test_inverse_matches_augmented_elimination(size, seed):
+    p = random_invertible(size, seed)
+    q = inverse(p)
+    assert q == _augmented_inverse(p)
+    assert all(type(x) is Fraction for row in q.rows for x in row)
+    assert p * q == Matrix.identity(size)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0, 2], [3, 0, 4], [5, 0, 6]],
+        [[0, 0], [0, 0]],
+        [[1, 2, 3], [4, 5, 6], [5, 7, 9]],
+        [[0]],
+    ],
+)
+def test_inverse_rejects_singular(rows):
+    with pytest.raises(SingularMatrixError):
+        inverse(Matrix(rows))

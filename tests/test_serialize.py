@@ -6,7 +6,7 @@ import pytest
 
 from polywit.construct import reduce_step, witness_for_multilinear
 from polywit.errors import CommutativityError, DimensionError
-from polywit.matrices import Matrix
+from polywit.matrices import Matrix, parse_rational
 from polywit.polynomials import (
     AdmissiblePoly,
     MultilinearPoly,
@@ -220,3 +220,20 @@ def test_reduction_to_json_shape():
 def test_partitions_to_json():
     doc = partitions_to_json(enumerate_partitions((3,), 2))
     assert doc == [[[3], []], [[], [3]]]
+
+
+@pytest.mark.parametrize("bad", ["1.5", "3/0"])
+def test_matrix_rejects_bad_entry_after_repeated_zeros(bad):
+    rows = [["0"] * 6 for _ in range(6)]
+    rows[5][5] = bad
+    with pytest.raises(ValueError):
+        matrix_from_json({"size": 6, "rows": rows})
+
+
+def test_matrix_decodes_equal_values_written_differently():
+    rows = [["1/2", "2/4", 1], ["1", "-0", "0"], ["2/4", 1, "1/2"]]
+    m = matrix_from_json({"size": 3, "rows": rows})
+    assert m.rows == tuple(
+        tuple(parse_rational(str(entry)) for entry in row) for row in rows
+    )
+    assert m[1, 1] == m[1, 2] == Fraction(1, 2) and m[1, 3] == m[2, 1] == 1
