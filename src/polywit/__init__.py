@@ -21,12 +21,14 @@ from .errors import (
     CommutativityError,
     DimensionError,
     EmptyPolynomialError,
+    InputDecodeError,
     InternalInvariantError,
     MultilinearityError,
     NotAdmissibleError,
     PolynomialSyntaxError,
     PolywitError,
     PreconditionError,
+    RationalLiteralError,
     SingularMatrixError,
 )
 from .harness import RunReport, run_witness, selftest, verify
@@ -60,6 +62,7 @@ __all__ = [
     "CommutativityError",
     "DimensionError",
     "EmptyPolynomialError",
+    "InputDecodeError",
     "InternalInvariantError",
     "MarkedPoly",
     "Matrix",
@@ -70,6 +73,7 @@ __all__ = [
     "PolynomialSyntaxError",
     "PolywitError",
     "PreconditionError",
+    "RationalLiteralError",
     "RunReport",
     "SingularMatrixError",
     "WitnessAssignment",

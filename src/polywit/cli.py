@@ -15,8 +15,10 @@ import sys
 from .construct import hollow_similarity, reduce_step
 from .errors import (
     CommutativityError,
+    InputDecodeError,
     InternalInvariantError,
     PolywitError,
+    PreconditionError,
 )
 from .harness import format_selftest, run_witness, selftest, verify
 from .parsing import parse_poly, parse_omega
@@ -40,16 +42,28 @@ EXIT_INPUT = 3
 EXIT_INVARIANT = 4
 
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputDecodeError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        # JSONDecodeError, or the bare ValueError json raises for an
+        # integer literal past the interpreter's digit limit.
+        raise InputDecodeError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_poly(args):
     if getattr(args, "poly_str", None) is not None:
         return parse_poly(args.poly_str)
-    with open(args.poly, "r", encoding="utf-8") as fh:
-        return parse_poly(fh.read())
+    return parse_poly(_read_text(args.poly))
 
 
 def _add_poly_options(sub, required: bool = True):
@@ -125,9 +139,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("PW_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise PreconditionError(f"PW_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_selftest(args) -> int:
@@ -197,7 +214,9 @@ def run(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (PolywitError, ValueError, OSError) as exc:
+    except (PolywitError, OSError) as exc:
+        # Undecodable files and bad literals arrive here as PolywitErrors;
+        # any other exception is a bug and keeps its traceback.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

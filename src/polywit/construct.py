@@ -310,10 +310,28 @@ def size_bound(d: int, trace) -> int:
 
 
 def witness_for_multilinear(f: MultilinearPoly, a: Matrix):
-    """Top-level entry: witness size and assignment for a multilinear input."""
+    """Top-level entry: witness size and assignment for a multilinear input.
+
+    The recursion runs on g = L*f, where L is the LCM of the coefficient
+    denominators, toward the target L*a.  Every level only adds and
+    subtracts coefficients, so g's coefficients stay ``int`` all the way
+    down, and g(X) = L*f(X) equals L*a exactly when f(X) = a.  The
+    witness is the one the unscaled recursion builds, entry for entry:
+    with no commuting indices the base case returns (L*a)/(L*lam) = a/lam;
+    otherwise ``hollow_similarity`` picks its conjugator p by rank tests,
+    which scaling the target leaves unchanged, so h and the variable
+    matrix x built from it gain the factor L, which cancels in
+    p^-1 x p / (L*lam).
+    """
     if f.is_zero():
         raise EmptyPolynomialError("the zero polynomial only attains zero")
-    w = construct_witness(from_multilinear(f), a)
+    g = from_multilinear(f)
+    scale = math.lcm(*(lam.denominator for lam in g.coeffs.values()))
+    # g is a fresh map: rewriting it in place keeps no second copy alive
+    # through the recursion.
+    for key, lam in g.coeffs.items():
+        g.coeffs[key] = lam.numerator * (scale // lam.denominator)
+    w = construct_witness(g, a.scale(scale))
     if w.size > size_bound(a.size, w.trace):
         raise InternalInvariantError(
             f"witness size {w.size} exceeds the growth bound "

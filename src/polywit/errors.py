@@ -13,6 +13,14 @@ class SingularMatrixError(PolywitError):
     """An exact inverse was requested for a singular matrix."""
 
 
+class RationalLiteralError(PolywitError, ValueError):
+    """A scalar literal is not an integer or ``p/q`` with q nonzero."""
+
+
+class InputDecodeError(PolywitError):
+    """An input file is not UTF-8 text, or not valid JSON."""
+
+
 class PolynomialSyntaxError(PolywitError):
     """Polynomial text does not conform to the input grammar."""
 

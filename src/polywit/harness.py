@@ -14,6 +14,7 @@ import math
 import time
 
 from .construct import (
+    construct_witness,
     hollow_similarity,
     lift_witness,
     shift_bracket_closed_form,
@@ -27,12 +28,14 @@ from .polynomials import (
     evaluate,
     expand_admissible,
     extract_coefficients,
+    from_multilinear,
     marker_at_one,
     marker_into_brackets,
     merge_position_index,
 )
 from .randgen import (
     random_admissible,
+    random_bracket,
     random_commuting_assignment,
     random_marked,
     random_marked_pi_zero,
@@ -175,6 +178,27 @@ def _check_integer_verify(i: int, seed: int) -> bool:
     return oracle == [True, False] and [verify(f, w, t) for t in targets] == oracle
 
 
+def _check_integer_reduction(i: int, seed: int) -> bool:
+    n = 1 + i % 4
+    d = 1 + (i // 4) % 3
+    if n > 1 and i % 2:
+        f = random_bracket(n, density=0.7, seed=seed)
+    else:
+        f = random_multilinear(n, density=0.7, seed=seed)
+    # No numerator the generator draws is a multiple of 7, so every
+    # coefficient is fractional and the entry point really rescales.
+    f = MultilinearPoly(n, {sigma: lam / 7 for sigma, lam in f.coeffs.items()})
+    a = random_trace_zero(d, seed=seed + 1)
+    _, w = witness_for_multilinear(f, a)
+    ref = construct_witness(from_multilinear(f), a)
+    return (
+        w.size == ref.size
+        and w.x_assign == ref.x_assign
+        and w.u_assign == ref.u_assign
+        and w.trace == ref.trace
+    )
+
+
 def _check_hollow(i: int, seed: int) -> bool:
     d = 1 + i % 6
     a = random_trace_zero(d, seed=seed)
@@ -249,6 +273,7 @@ def _check_extraction(i: int, seed: int) -> bool:
 _SUITES = [
     ("witness construction", _check_witness),
     ("integer verify", _check_integer_verify),
+    ("integer reduction", _check_integer_reduction),
     ("hollow similarity", _check_hollow),
     ("shift bracket form", _check_shift_bracket),
     ("marker image", _check_marker_image),

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, RationalLiteralError, SingularMatrixError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -29,16 +29,18 @@ _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+))?\s*$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Exact value of an integer or ``p/q`` literal; ``ValueError`` otherwise."""
+    """Exact value of an integer or ``p/q`` literal; ``RationalLiteralError``
+    (a ``ValueError``) otherwise."""
     m = _RATIONAL_RE.match(text)
     if not m:
-        raise ValueError(f"not a rational literal: {text!r}")
-    num, den = m.group(1), m.group(2)
-    if den is None:
-        return Fraction(int(num))
-    if int(den) == 0:
-        raise ValueError(f"zero denominator in rational literal: {text!r}")
-    return Fraction(int(num), int(den))
+        raise RationalLiteralError(f"not a rational literal: {text!r}")
+    try:
+        num, den = int(m.group(1)), int(m.group(2) or 1)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise RationalLiteralError(f"rational literal too long: {exc}") from None
+    if den == 0:
+        raise RationalLiteralError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(num, den)
 
 
 def as_rational(value) -> Fraction:

@@ -22,32 +22,28 @@ from fractions import Fraction
 from .errors import MultilinearityError, PolynomialSyntaxError
 from .polynomials import MultilinearPoly
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>X(?P<index>\d+))|(?P<num>\d+)|(?P<op>[+\-*/]))"
-)
+_TOKEN_RE = re.compile(r"X(?P<var>\d+)|(?P<num>\d+)|(?P<op>[+\-*/])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
+    """(kind, value, 1-based position) triples; whitespace only separates."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "op":
+            append((kind, m.group(kind), m.start() + 1))
+        elif kind == "bad":
             raise PolynomialSyntaxError(
-                f"unexpected character {text[bad_at]!r}", bad_at + 1
+                f"unexpected character {m.group(kind)!r}", m.start() + 1
             )
-        if m.group("var"):
-            tokens.append(("var", int(m.group("index")), m.start("var") + 1))
-        elif m.group("num"):
-            tokens.append(("num", int(m.group("num")), m.start("num") + 1))
         else:
-            tokens.append(("op", m.group("op"), m.start("op") + 1))
-        pos = m.end()
-    tokens.append(("end", None, len(text) + 1))
+            try:
+                value = int(m.group(kind))
+            except ValueError as exc:  # past the interpreter's digit limit
+                raise PolynomialSyntaxError(str(exc), m.start() + 1) from None
+            append((kind, value, m.start() + 1))
+    append(("end", None, len(text) + 1))
     return tokens
 
 
@@ -124,10 +120,11 @@ def parse_poly(text: str) -> MultilinearPoly:
         raise PolynomialSyntaxError("empty input", 1)
     terms = _Parser(text).poly()
     n = len(terms[0][1])
+    expected = list(range(1, n + 1))
     coeffs = {}
     for coeff, variables in terms:
-        monomial = "*".join(f"X{v}" for v in variables)
-        if sorted(variables) != list(range(1, n + 1)):
+        if sorted(variables) != expected:
+            monomial = "*".join(f"X{v}" for v in variables)
             raise MultilinearityError(
                 f"monomial {monomial} must use X1..X{n} exactly once each"
             )

@@ -1,8 +1,11 @@
 """Multilinear and admissible partially commutative polynomial algebra.
 
 Scalars are exact ``Fraction``s, so every zero test below is a real zero
-test.  The zero polynomial is an empty coefficient map in every
-representation, and all constructors drop zero coefficients on entry.
+test.  The reduction helpers only add and subtract coefficients, so they
+also run on plain ``int`` coefficients and keep them ``int``; the
+constructor scales its input to integers for that reason.  The zero
+polynomial is an empty coefficient map in every representation, and all
+constructors drop zero coefficients on entry.
 The public constructors also validate their keys; the reduction builds
 its results through ``_trusted`` constructors that only drop zeros,
 because its keys are well formed by construction.
@@ -624,11 +627,11 @@ def reindex_by_position(f: AdmissiblePoly):
     """
     if f.n < 2:
         raise PreconditionError("position reindexing needs at least two variables")
+    n = f.n
     idx = {}
     for (sigma, parts), lam in f.coeffs.items():
-        j = sigma.index(f.n) + 1
-        tau = tuple(v for v in sigma if v != f.n)
-        idx[(tau, j, parts)] = lam
+        j = sigma.index(n)
+        idx[(sigma[:j] + sigma[j + 1 :], j + 1, parts)] = lam
     return idx
 
 
@@ -694,24 +697,31 @@ def marker_into_brackets(g: MarkedPoly) -> AdmissiblePoly:
     one factor's bracket leaves the coefficient sum over all marker
     positions up to that factor.  The marker index is smaller than every
     index in omega, so prepending it keeps slots strictly increasing.
+
+    The groups are exactly the terms of ``marker_at_one(g)``, and the
+    running sum over all n positions is that term's coefficient, so the
+    precondition is checked on each group's total instead of by building
+    the image again.
     """
-    if not marker_at_one(g).is_zero():
-        raise PreconditionError(
-            "marker elimination requires the marker-to-1 image to vanish"
-        )
+    n = g.n
+    marker = g.marker
     groups = {}
     for (sigma, j, parts), lam in g.coeffs.items():
-        groups.setdefault((sigma, parts[: g.n - 1]), {})[j] = lam
+        groups.setdefault((sigma, parts[: n - 1]), {})[j] = lam
     coeffs = {}
     for (sigma, parts), by_pos in groups.items():
         running = 0
-        for i in range(1, g.n):
+        for i in range(1, n):
             running = running + by_pos.get(i, 0)
             if not running:
                 continue
             var = sigma[i - 1]
             slots = list(parts)
-            slots[var - 1] = (g.marker,) + slots[var - 1]
+            slots[var - 1] = (marker,) + slots[var - 1]
             key = (sigma, tuple(slots))
             coeffs[key] = coeffs.get(key, 0) + running
-    return AdmissiblePoly._trusted(g.n - 1, g.omega_with_marker, coeffs)
+        if running + by_pos.get(n, 0):
+            raise PreconditionError(
+                "marker elimination requires the marker-to-1 image to vanish"
+            )
+    return AdmissiblePoly._trusted(n - 1, g.omega_with_marker, coeffs)

@@ -49,6 +49,22 @@ def random_multilinear(n: int, density: float = 0.6, seed: int = 0) -> Multiline
     return MultilinearPoly(n, coeffs)
 
 
+def random_bracket(n: int, density: float = 0.6, seed: int = 0) -> MultilinearPoly:
+    """[h, X_n] for a random multilinear h in X_1..X_{n-1}.
+
+    Its marker-to-1 image vanishes, so the reduction takes the rewrite
+    branch at the top level and the base case gets a commuting index,
+    which dense random polynomials almost never reach.
+    """
+    if n < 2:
+        raise DimensionError("a bracket needs at least two variables")
+    coeffs = {}
+    for tau, lam in random_multilinear(n - 1, density, seed).coeffs.items():
+        coeffs[tau + (n,)] = lam
+        coeffs[(n,) + tau] = -lam
+    return MultilinearPoly(n, coeffs)
+
+
 def random_trace_zero(d: int, seed: int = 0) -> Matrix:
     """Random d by d rational matrix with the last diagonal entry fixed
     so the trace vanishes."""

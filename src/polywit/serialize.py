@@ -3,8 +3,8 @@
 All scalar entries travel as exact rational strings ("3/2" or "7"), so
 round trips never lose precision.  The decoders are a trust boundary:
 shape and type problems raise DimensionError, and bad scalar literals
-raise ValueError from ``parse_rational``, which rejects "1.5", "2e3"
-and "3/0".
+raise RationalLiteralError (a ValueError) from ``parse_rational``, which
+rejects "1.5", "2e3" and "3/0".
 """
 
 from __future__ import annotations

@@ -240,6 +240,38 @@ def test_internal_type_error_is_not_an_input_error(monkeypatch):
         run(["partitions", "--n", "1"])
 
 
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    def broken(args):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "_cmd_partitions", broken)
+    with pytest.raises(ValueError):
+        run(["partitions", "--n", "1"])
+
+
+def test_non_integer_pw_seed_is_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("PW_SEED", "eleven")
+    assert run(["selftest", "--cases", "1"]) == 3
+    assert "PW_SEED must be an integer, got 'eleven'" in capsys.readouterr().err
+
+
+def test_undecodable_inputs_are_input_errors(target_file, tmp_path, capsys):
+    not_utf8 = tmp_path / "poly.txt"
+    not_utf8.write_bytes(b"X1\xff")
+    assert run(["witness", "--poly", str(not_utf8), "--target", target_file]) == 3
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"size": ' + "1" * 5000 + ', "rows": []}')
+    assert run(["witness", "--poly-str", "X1", "--target", str(long_int)]) == 3
+    long_entry = tmp_path / "entry.json"
+    long_entry.write_text(json.dumps({"size": 1, "rows": [["1" * 5000]]}))
+    assert run(["witness", "--poly-str", "X1", "--target", str(long_entry)]) == 3
+    long_coeff = "1" * 5000 + "*X1"
+    assert run(["witness", "--poly-str", long_coeff, "--target", target_file]) == 3
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err and "not valid JSON" in err
+    assert "rational literal too long" in err and "position 1" in err
+
+
 def test_input_error_exit_codes(target_file, tmp_path, capsys):
     assert run(["witness", "--poly-str", "X1*X1", "--target", target_file]) == 3
     assert run(["witness", "--poly-str", "X1 +", "--target", target_file]) == 3

@@ -1,11 +1,14 @@
 """Constructor stages: hollow conjugation, base case, lift, recursion."""
 
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polywit import construct
 from polywit.construct import (
     BRANCH_PI,
     BRANCH_REWRITE,
@@ -39,12 +42,14 @@ from polywit.polynomials import (
 )
 from polywit.randgen import (
     random_admissible,
+    random_bracket,
     random_commuting_assignment,
     random_marked,
     random_multilinear,
     random_trace_zero,
 )
 from polywit.harness import verify
+from polywit.serialize import witness_to_json
 
 # ----------------------------------------------------------- hollow form
 
@@ -312,3 +317,67 @@ def test_construct_random_property(n, d, seed):
     s, w = witness_for_multilinear(f, a)
     assert verify(f, w, a)
     assert s <= size_bound(d, w.trace)
+
+
+def _standard(n: int) -> MultilinearPoly:
+    """s_n: the alternating sum over all permutations."""
+    coeffs = {}
+    for sigma in itertools.permutations(range(1, n + 1)):
+        inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+        coeffs[sigma] = (-1) ** inversions
+    return MultilinearPoly(n, coeffs)
+
+
+def _left_normed(n: int) -> MultilinearPoly:
+    """The Lie monomial [[..[X1,X2]..],Xn], expanded."""
+    words = {(1,): 1}
+    for v in range(2, n + 1):
+        nxt = {}
+        for w, c in words.items():
+            nxt[w + (v,)] = c
+            nxt[(v,) + w] = -c
+        words = nxt
+    return MultilinearPoly(n, words)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10 ** 6), st.booleans())
+def test_scaled_reduction_matches_fraction_run(n, d, seed, bracket):
+    """Scaling f to integer coefficients changes no entry of the witness:
+    the oracle is the recursion run on the Fraction coefficients.  The
+    brackets reach the hollow base case, which dense polynomials rarely do."""
+    if bracket and n > 1:
+        f = random_bracket(n, density=0.7, seed=seed)
+    else:
+        f = random_multilinear(n, density=0.7, seed=seed)
+    assume(any(lam.denominator != 1 for lam in f.coeffs.values()))
+    a = random_trace_zero(d, seed=seed + 1)
+    s, w = witness_for_multilinear(f, a)
+    ref = construct_witness(from_multilinear(f), a)
+    assert s == ref.size
+    assert w.x_assign == ref.x_assign
+    assert w.u_assign == ref.u_assign
+    assert w.trace == ref.trace
+    assert json.dumps(witness_to_json(w, a, True)) == json.dumps(
+        witness_to_json(ref, a, True)
+    )
+
+
+@pytest.mark.parametrize("f", [_standard(6), _left_normed(6)], ids=["s_6", "lie_6"])
+def test_reduction_runs_on_int_coefficients(monkeypatch, f):
+    polys = []
+
+    def recording(g):
+        step = reduce_step(g)
+        polys.extend([g, step.marked, step.pi_part])
+        if step.rewritten is not None:
+            polys.append(step.rewritten)
+        return step
+
+    monkeypatch.setattr(construct, "reduce_step", recording)
+    a = random_trace_zero(2, seed=5)
+    s, w = witness_for_multilinear(f, a)
+    assert len(polys) >= 3 * (f.n - 1)
+    for p in polys:
+        assert all(type(lam) is int for lam in p.coeffs.values())
+    assert verify(f, w, a)

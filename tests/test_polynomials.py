@@ -347,6 +347,34 @@ _SHAPES = [
 ]
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, len(_SHAPES) - 1),
+    st.sampled_from(["random", "pi_zero", "one_group"]),
+    st.integers(0, 10 ** 6),
+)
+def test_marker_into_brackets_raises_exactly_when_image_nonzero(shape, kind, seed):
+    """The rewrite checks its precondition on its own group sums; that must
+    agree with building the marker-to-1 image."""
+    n, omega, omegabar = _SHAPES[shape]
+    if kind == "random":
+        g = random_marked(n, omega, omegabar, density=0.6, seed=seed)
+    else:
+        g = random_marked_pi_zero(n, omega, omegabar, density=0.7, seed=seed)
+    if kind == "one_group":
+        keys = sorted(g.coeffs)
+        sigma, j, parts = keys[seed % len(keys)]
+        coeffs = dict(g.coeffs)
+        coeffs[(sigma, j, parts)] += 1
+        g = MarkedPoly(n, omega, omegabar, coeffs)
+        assert marker_at_one(g).coeffs == {(sigma, parts[: n - 1]): 1}
+    if marker_at_one(g).is_zero():
+        marker_into_brackets(g)
+    else:
+        with pytest.raises(PreconditionError):
+            marker_into_brackets(g)
+
+
 @pytest.mark.parametrize("n,omega,omegabar", _SHAPES)
 def test_marker_image_identity_symbolic(n, omega, omegabar):
     for seed in range(4):

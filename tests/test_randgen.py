@@ -4,9 +4,11 @@ import pytest
 
 from polywit.errors import DimensionError
 from polywit.matrices import Matrix, inverse
-from polywit.polynomials import marker_at_one
+from polywit.construct import BRANCH_REWRITE, reduce_step
+from polywit.polynomials import from_multilinear, marker_at_one
 from polywit.randgen import (
     random_admissible,
+    random_bracket,
     random_commuting_assignment,
     random_invertible,
     random_marked,
@@ -26,6 +28,16 @@ def test_random_multilinear_reproducible_and_nonzero():
     assert random_multilinear(2, seed=1) != random_multilinear(2, seed=2)
     with pytest.raises(DimensionError):
         random_multilinear(0)
+
+
+def test_random_bracket_takes_the_rewrite_branch():
+    for seed in range(10):
+        for n in (2, 3, 4):
+            f = random_bracket(n, density=0.5, seed=seed)
+            assert f == random_bracket(n, density=0.5, seed=seed)
+            assert reduce_step(from_multilinear(f)).branch == BRANCH_REWRITE
+    with pytest.raises(DimensionError):
+        random_bracket(1)
 
 
 def test_random_trace_zero():
