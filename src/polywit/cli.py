@@ -110,8 +110,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hollow(args) -> int:
     a = matrix_from_json(_read_json(args.matrix))
-    p, h = hollow_similarity(a)
-    _emit({"p": matrix_to_json(p), "h": matrix_to_json(h)}, None)
+    p, p_inv, h = hollow_similarity(a)
+    _emit(
+        {"p": matrix_to_json(p), "p_inv": matrix_to_json(p_inv), "h": matrix_to_json(h)},
+        None,
+    )
     return EXIT_OK
 
 

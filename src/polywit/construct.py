@@ -25,8 +25,10 @@ from .matrices import (
     block_unit,
     cyclic_shift,
     embed,
-    inverse,
-    rank_of_rows,
+    height,
+    # Unused here; bound so that bench/tracing.py can still patch them.
+    inverse,  # noqa: F401
+    rank_of_rows,  # noqa: F401
 )
 from .polynomials import (
     AdmissiblePoly,
@@ -47,84 +49,61 @@ BRANCH_REWRITE = "rewrite"
 # -------------------------------------------------------------- hollow form
 
 
-def _matvec(a: Matrix, vec):
-    return tuple(sum(x * v for x, v in zip(row, vec)) for row in a.rows)
-
-
-def _first_non_eigenvector(a: Matrix):
-    """First vector v in the fixed search order with {v, av} independent.
-
-    Order: standard vectors, then pairwise sums e_i + e_j with i < j.  If
-    the search fails, every standard vector and every pairwise sum is an
-    eigenvector, which forces the matrix to be scalar.
-    """
-    d = a.size
-    z, o = Fraction(0), Fraction(1)
-    candidates = []
-    for i in range(d):
-        candidates.append(tuple(o if r == i else z for r in range(d)))
-    for i in range(d):
-        for j in range(i + 1, d):
-            candidates.append(tuple(o if r in (i, j) else z for r in range(d)))
-    for v in candidates:
-        if rank_of_rows([list(v), list(_matvec(a, v))]) == 2:
-            return v
-    return None
-
-
-def _extend_to_basis(a: Matrix, v):
-    vectors = [list(v), list(_matvec(a, v))]
-    d = a.size
-    z, o = Fraction(0), Fraction(1)
-    for i in range(d):
-        if len(vectors) == d:
-            break
-        e = [o if r == i else z for r in range(d)]
-        if rank_of_rows(vectors + [e]) > len(vectors):
-            vectors.append(e)
-    if len(vectors) != d:
-        raise InternalInvariantError("basis extension fell short of full rank")
-    return Matrix._trusted([[vectors[c][r] for c in range(d)] for r in range(d)])
+def _transvect(h, p, p_inv, i: int, j: int, t: Fraction) -> None:
+    """Conjugate by E = I + t*e_ij in place: h <- E h E^-1, p <- E p and
+    p_inv <- p_inv E^-1, with E^-1 = I - t*e_ij."""
+    for m in (h, p):
+        row_i = m[i]
+        for c, v in enumerate(m[j]):
+            if v:
+                row_i[c] += t * v
+    for m in (h, p_inv):
+        for row in m:
+            if row[i]:
+                row[j] -= t * row[i]
 
 
 def hollow_similarity(a: Matrix):
     """Conjugator into zero-diagonal form, one size up.
 
-    Returns (p, h) with h = p * embed(a, d+1) * p^-1 and diag(h) = 0.
+    Returns (p, p_inv, h) with h = p * embed(a, d+1) * p_inv and
+    diag(h) = 0.  This is Fillmore's sweep by transvections I + t*e_ij
+    (P. A. Fillmore, "On similarity and the diagonal of a matrix", Amer.
+    Math. Monthly 76, 1969), starting from h = embed(a, d+1).  Row by
+    row, for each i but the last with h_ii != 0, the pivot is the j > i
+    with h_ji != 0 whose ratio t = -h_ii/h_ji has the least ``height``
+    (the smallest such j on a tie); conjugating by I + t*e_ij zeroes
+    h_ii and changes no other diagonal entry but h_jj.  If column i is
+    zero below the diagonal, h is first conjugated by I + t*e_ji for the
+    first j > i with h_jj != h_ii, with t = 2 when h_ii - h_jj = h_ij and
+    t = 1 otherwise, which makes h_ji nonzero.  Such a j exists: the
+    diagonal before i is already zero, so h_ii and the entries after it
+    sum to the trace, 0, and cannot all equal h_ii.  Each conjugation is
+    one row and one column operation, and p and p_inv are carried along,
+    so nothing is multiplied or inverted.  Every t is a ratio of entries
+    of h and every branch compares entries of h, so scaling a leaves p
+    and p_inv unchanged and scales h alike.
     """
     if a.trace():
         raise PreconditionError(f"hollow form needs trace zero, got trace {a.trace()}")
-    d = a.size
-    target = embed(a, d + 1)
-    v = _first_non_eigenvector(a)
-    if v is None:
-        # a is scalar with trace zero, which over the rationals means a = 0
-        p = Matrix.identity(d + 1)
-    else:
-        big = _extend_to_basis(a, v)
-        q = inverse(big)
-        conj = q * a * big
-        b = Matrix._trusted([row[1:] for row in conj.rows[1:]])
-        r, _ = hollow_similarity(b)
-        one = Matrix.identity(1)
-        p = block_flatten_mixed(one, r) * block_flatten_mixed(q, one)
-    h = p * target * inverse(p)
+    n = a.size + 1
+    h = [list(row) for row in embed(a, n).rows]
+    p = [list(row) for row in Matrix.identity(n).rows]
+    p_inv = [list(row) for row in p]
+    for i in range(n - 1):
+        if h[i][i] and not any(h[j][i] for j in range(i + 1, n)):
+            j = next(j for j in range(i + 1, n) if h[j][j] != h[i][i])
+            t = Fraction(2 if h[i][i] - h[j][j] == h[i][j] else 1)
+            _transvect(h, p, p_inv, j, i, t)
+        if h[i][i]:
+            ratios = {j: -h[i][i] / h[j][i] for j in range(i + 1, n) if h[j][i]}
+            # min keeps the first of equal keys, so a tie goes to the smallest j
+            j = min(ratios, key=lambda j: height(ratios[j]))
+            _transvect(h, p, p_inv, i, j, ratios[j])
+    h = Matrix._trusted(h)
     if not h.has_zero_diagonal():
         raise InternalInvariantError("hollow conjugation left a nonzero diagonal")
-    return p, h
-
-
-def block_flatten_mixed(top: Matrix, bottom: Matrix) -> Matrix:
-    """diag(top, bottom) for blocks of different sizes."""
-    n = top.size + bottom.size
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(top.size):
-        for j in range(top.size):
-            rows[i][j] = top.rows[i][j]
-    for i in range(bottom.size):
-        for j in range(bottom.size):
-            rows[top.size + i][top.size + j] = bottom.rows[i][j]
-    return Matrix._trusted(rows)
+    return Matrix._trusted(p), Matrix._trusted(p_inv), h
 
 
 # ---------------------------------------------------------------- base case
@@ -152,7 +131,7 @@ def base_case_witness(lam, omegas, a: Matrix) -> WitnessAssignment:
     inv_lam = 1 / lam
     if m == 0:
         return WitnessAssignment(d, {1: a.scale(inv_lam)}, {})
-    p, h = hollow_similarity(a)
+    p, pinv, h = hollow_similarity(a)
     s = d + 1
     u = Matrix.diagonal(range(s))
     rows = [
@@ -160,7 +139,6 @@ def base_case_witness(lam, omegas, a: Matrix) -> WitnessAssignment:
         for i in range(s)
     ]
     x = Matrix._trusted(rows)
-    pinv = inverse(p)
     x1 = (pinv * x * p).scale(inv_lam)
     uu = pinv * u * p
     return WitnessAssignment(s, {1: x1}, {om: uu for om in omegas})
@@ -318,10 +296,11 @@ def witness_for_multilinear(f: MultilinearPoly, a: Matrix):
     down, and g(X) = L*f(X) equals L*a exactly when f(X) = a.  The
     witness is the one the unscaled recursion builds, entry for entry:
     with no commuting indices the base case returns (L*a)/(L*lam) = a/lam;
-    otherwise ``hollow_similarity`` picks its conjugator p by rank tests,
-    which scaling the target leaves unchanged, so h and the variable
-    matrix x built from it gain the factor L, which cancels in
-    p^-1 x p / (L*lam).
+    otherwise ``hollow_similarity`` takes every transvection ratio as a
+    quotient of two entries and every branch on a comparison of entries,
+    so scaling the target by L leaves p and p^-1 unchanged while h and
+    the variable matrix x built from it gain the factor L, which cancels
+    in p^-1 x p / (L*lam).
     """
     if f.is_zero():
         raise EmptyPolynomialError("the zero polynomial only attains zero")

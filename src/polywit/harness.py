@@ -21,7 +21,7 @@ from .construct import (
     size_bound,
     witness_for_multilinear,
 )
-from .matrices import Matrix, embed, inverse, iterated_commutator
+from .matrices import Matrix, embed, height, inverse, iterated_commutator
 from .parsing import poly_to_str
 from .polynomials import (
     MultilinearPoly,
@@ -114,7 +114,9 @@ class RunReport:
 
     ``wall_time`` covers construction and verification together;
     ``construct_s`` and ``verify_s`` split it (``verify_s`` is 0 when
-    verification was skipped).
+    verification was skipped).  ``max_bits`` is the largest numerator or
+    denominator bit length over every X and U entry, and ``density`` the
+    share of those entries that are nonzero.
     """
 
     poly: str
@@ -125,6 +127,8 @@ class RunReport:
     construct_s: float
     verify_s: float
     trace: list
+    max_bits: int
+    density: float
 
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "field": "rationals"}
@@ -150,8 +154,23 @@ def run_witness(f: MultilinearPoly, a: Matrix, do_verify: bool = True):
         construct_s=built - start,
         verify_s=done - built,
         trace=list(w.trace),
+        **_witness_stats(w),
     )
     return w, report
+
+
+def _witness_stats(w: WitnessAssignment) -> dict:
+    """``max_bits`` and ``density`` of a witness's X and U entries."""
+    entries = [
+        x
+        for m in (*w.x_assign.values(), *w.u_assign.values())
+        for row in m.rows
+        for x in row
+    ]
+    return {
+        "max_bits": max(map(height, entries)),
+        "density": sum(1 for x in entries if x) / len(entries),
+    }
 
 
 # ------------------------------------------------------------------ selftest
@@ -202,8 +221,12 @@ def _check_integer_reduction(i: int, seed: int) -> bool:
 def _check_hollow(i: int, seed: int) -> bool:
     d = 1 + i % 6
     a = random_trace_zero(d, seed=seed)
-    p, h = hollow_similarity(a)
-    return h.has_zero_diagonal() and h == p * embed(a, d + 1) * inverse(p)
+    p, p_inv, h = hollow_similarity(a)
+    return (
+        h.has_zero_diagonal()
+        and h == p * embed(a, d + 1) * p_inv
+        and p_inv == inverse(p)
+    )
 
 
 def _check_shift_bracket(i: int, seed: int) -> bool:

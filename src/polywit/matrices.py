@@ -54,6 +54,11 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot coerce {type(value).__name__} to a rational exactly")
 
 
+def height(x: Fraction) -> int:
+    """Bit length of the larger of x's numerator and denominator."""
+    return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+
+
 def _int_pairs(entries):
     """``(m, pairs)``: m is the LCM of the denominators of ``entries``, and
     ``pairs`` holds ``(index, m * entry)`` for each nonzero entry."""

@@ -154,8 +154,12 @@ def test_criterion_hollow_property():
     for case in range(200):
         d = 1 + case % 8
         a = random_trace_zero(d, seed=10_000 + case)
-        p, h = hollow_similarity(a)
-        if not h.has_zero_diagonal() or h != p * embed(a, d + 1) * inverse(p):
+        p, p_inv, h = hollow_similarity(a)
+        if (
+            not h.has_zero_diagonal()
+            or h != p * embed(a, d + 1) * p_inv
+            or p_inv != inverse(p)
+        ):
             ok = False
     _report("hollow conjugation: zero diagonal and exact similarity, 200 cases", ok)
 

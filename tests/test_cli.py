@@ -9,7 +9,8 @@ import pytest
 from polywit import cli, harness
 from polywit.cli import run
 from polywit.matrices import Matrix
-from polywit.serialize import matrix_to_json
+from polywit.randgen import random_trace_zero
+from polywit.serialize import matrix_from_json, matrix_to_json
 
 
 @pytest.fixture()
@@ -45,6 +46,18 @@ def test_witness_writes_verified_document(target_file, tmp_path, capsys):
     assert report["construct_s"] >= 0 and report["verify_s"] >= 0
     assert report["construct_s"] + report["verify_s"] <= report["wall_time"]
     assert report["trace"] == [{"k": 0, "omegabar": [], "branch": "rewrite"}]
+
+
+def test_witness_reports_height_and_density(tmp_path, capsys):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(matrix_to_json(random_trace_zero(16, seed=1))))
+    code = run(["witness", "--poly-str", "X1*X2 - X2*X1", "--target", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    report = json.loads(captured.err.strip().splitlines()[-1])
+    # The basis-change hollow form gave entries about 3000 bits high here.
+    assert 0 < report["max_bits"] < 64
+    assert 0 < report["density"] <= 1
 
 
 def test_witness_stdout_default(target_file, capsys):
@@ -141,8 +154,11 @@ def test_hollow_command(target_file, capsys):
     captured = capsys.readouterr()
     assert code == 0
     doc = json.loads(captured.out)
+    assert set(doc) == {"p", "p_inv", "h"}
     h = doc["h"]["rows"]
     assert all(h[i][i] == "0" for i in range(len(h)))
+    p, p_inv = matrix_from_json(doc["p"]), matrix_from_json(doc["p_inv"])
+    assert p * p_inv == Matrix.identity(len(h))
 
 
 def test_hollow_rejects_nonzero_trace(tmp_path, capsys):

@@ -29,6 +29,7 @@ from polywit.matrices import (
     Matrix,
     cyclic_shift,
     embed,
+    height,
     inverse,
     iterated_commutator,
 )
@@ -55,24 +56,83 @@ from polywit.serialize import witness_to_json
 
 
 def test_hollow_nilpotent_hand_trace():
+    # e_12 is already hollow, so the sweep does nothing.
     a = Matrix.unit(2, 1, 2)
-    p, h = hollow_similarity(a)
-    assert p == Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert h == Matrix.unit(3, 2, 1)
+    p, p_inv, h = hollow_similarity(a)
+    assert p == Matrix.identity(3)
+    assert p_inv == Matrix.identity(3)
+    assert h == Matrix.unit(3, 1, 2)
     assert h == p * embed(a, 3) * inverse(p)
 
 
 def test_hollow_diagonal_hand_trace():
+    # Column 1 is zero below the diagonal, so I + e_21 comes first (t = 1:
+    # h_11 - h_22 = 2 != h_12 = 0); it makes h_21 = 2, and I - 1/2 e_12
+    # then zeroes h_11.
     a = Matrix.diagonal([1, -1])
-    p, h = hollow_similarity(a)
-    assert h == Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    p, p_inv, h = hollow_similarity(a)
+    half = Fraction(1, 2)
+    assert p == Matrix([[half, -half, 0], [1, 1, 0], [0, 0, 1]])
+    assert p_inv == Matrix([[1, half, 0], [-1, half, 0], [0, 0, 1]])
+    assert h == Matrix([[0, half, 0], [2, 0, 0], [0, 0, 0]])
     assert h.has_zero_diagonal()
+
+
+@pytest.mark.parametrize(
+    "rows, t, p, p_inv, h",
+    [
+        # h_11 - h_22 = 2 != h_12 = 1: pre-conjugate by I + e_21, which
+        # already zeroes h_11.
+        (
+            [[1, 1], [0, -1]],
+            1,
+            [[1, 0, 0], [1, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [-1, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        ),
+        # h_11 - h_22 = 2 = h_12: t = 1 would leave h_21 = 0, so t = 2.
+        (
+            [[1, 2], [0, -1]],
+            2,
+            [["-1/2", "-3/4", 0], [2, 1, 0], [0, 0, 1]],
+            [[1, "3/4", 0], [-2, "-1/2", 0], [0, 0, 1]],
+            [[0, "-1/4", 0], [-4, 0, 0], [0, 0, 0]],
+        ),
+    ],
+)
+def test_hollow_pre_conjugation_branches(rows, t, p, p_inv, h):
+    a = Matrix(rows)
+    got_p, got_p_inv, got_h = hollow_similarity(a)
+    # The first transvection is I + t*e_21 and later ones add to row 1
+    # only, so row 2 of p is (t, 1, 0).
+    assert got_p.rows[1] == (t, 1, 0)
+    assert (got_p, got_p_inv, got_h) == (Matrix(p), Matrix(p_inv), Matrix(h))
+    assert got_h == got_p * embed(a, 3) * got_p_inv
+
+
+@pytest.mark.parametrize(
+    "rows, first_row",
+    [
+        # t = -2 for both j = 2 and j = 3: the tie goes to j = 2.
+        ([[2, 0, 0], [1, -1, 0], [1, 0, -1]], (1, -2, 0, 0)),
+        # t = -2/5 for j = 2 and t = -2 for j = 3: the shorter ratio wins.
+        ([[2, 0, 0], [5, -1, 0], [1, 0, -1]], (1, 0, -2, 0)),
+    ],
+)
+def test_hollow_pivot_has_least_height(rows, first_row):
+    a = Matrix(rows)
+    p, p_inv, h = hollow_similarity(a)
+    # Only the first transvection, I + t*e_1j, writes to row 1 of p.
+    assert p.rows[0] == first_row
+    assert h.has_zero_diagonal()
+    assert h == p * embed(a, 4) * p_inv
 
 
 def test_hollow_zero_matrix():
     for d in (1, 2, 3):
-        p, h = hollow_similarity(Matrix.zeros(d))
+        p, p_inv, h = hollow_similarity(Matrix.zeros(d))
         assert p == Matrix.identity(d + 1)
+        assert p_inv == Matrix.identity(d + 1)
         assert h.is_zero()
 
 
@@ -83,12 +143,42 @@ def test_hollow_rejects_nonzero_trace():
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 6), st.integers(0, 10 ** 6))
+@given(st.integers(1, 8), st.integers(0, 10 ** 6))
 def test_hollow_property(d, seed):
     a = random_trace_zero(d, seed)
-    p, h = hollow_similarity(a)
+    p, p_inv, h = hollow_similarity(a)
     assert h.has_zero_diagonal()
-    assert h == p * embed(a, d + 1) * inverse(p)
+    assert p * p_inv == Matrix.identity(d + 1)
+    assert p_inv == inverse(p)
+    assert h == p * embed(a, d + 1) * p_inv
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 10 ** 6),
+    st.fractions().filter(bool),
+)
+def test_hollow_commutes_with_scaling(d, seed, scale):
+    # witness_for_multilinear builds toward L*a and relies on p and p^-1
+    # not depending on L.  The upper triangle of a has zeros below the
+    # diagonal, so it takes the pre-conjugation branch too.
+    a = random_trace_zero(d, seed)
+    upper = Matrix(
+        [[x if c >= r else 0 for c, x in enumerate(row)] for r, row in enumerate(a.rows)]
+    )
+    for m in (a, upper):
+        p, p_inv, h = hollow_similarity(m)
+        assert hollow_similarity(m.scale(scale)) == (p, p_inv, h.scale(scale))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hollow_height_stays_low(seed):
+    # The least-height pivot keeps entries short; the old basis change
+    # reached thousands of bits at d = 16.
+    p, p_inv, h = hollow_similarity(random_trace_zero(40, seed))
+    assert max(height(x) for row in h.rows for x in row) <= 48
+    assert h.has_zero_diagonal()
 
 
 # --------------------------------------------------------------- base case
@@ -262,8 +352,8 @@ def test_construct_commutator_hand_trace():
     s, w = witness_for_multilinear(f, a)
     assert s == 3
     assert w.trace == [{"k": 0, "omegabar": [], "branch": "rewrite"}]
-    assert w.x(1) == Matrix.unit(3, 1, 2).scale(-1)
-    assert w.x(2) == Matrix.diagonal([1, 0, 2])
+    assert w.x(1) == Matrix.unit(3, 1, 2)
+    assert w.x(2) == Matrix.diagonal([0, 1, 2])
     assert verify(f, w, a)
 
 
