@@ -24,7 +24,6 @@ from .errors import (
     InputDecodeError,
     InternalInvariantError,
     MultilinearityError,
-    NotAdmissibleError,
     PolynomialSyntaxError,
     PolywitError,
     PreconditionError,
@@ -44,11 +43,8 @@ from .polynomials import (
     AdmissiblePoly,
     MarkedPoly,
     MultilinearPoly,
-    PCPoly,
     enumerate_partitions,
     evaluate,
-    expand_admissible,
-    extract_coefficients,
     from_multilinear,
 )
 from .randgen import random_multilinear, random_trace_zero
@@ -68,8 +64,6 @@ __all__ = [
     "Matrix",
     "MultilinearPoly",
     "MultilinearityError",
-    "NotAdmissibleError",
-    "PCPoly",
     "PolynomialSyntaxError",
     "PolywitError",
     "PreconditionError",
@@ -83,8 +77,6 @@ __all__ = [
     "embed",
     "enumerate_partitions",
     "evaluate",
-    "expand_admissible",
-    "extract_coefficients",
     "from_multilinear",
     "hollow_similarity",
     "inverse",

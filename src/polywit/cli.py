@@ -22,13 +22,11 @@ from .errors import (
 )
 from .harness import format_selftest, run_witness, selftest, verify
 from .parsing import parse_poly, parse_omega
-from .polynomials import enumerate_partitions, expand_admissible, from_multilinear
+from .polynomials import _check_omega, enumerate_partitions, from_multilinear
 from .serialize import (
-    admissible_from_json,
     matrix_from_json,
     matrix_to_json,
     partitions_to_json,
-    pcpoly_to_json,
     reduction_to_json,
     witness_from_json,
     witness_to_json,
@@ -119,15 +117,9 @@ def _cmd_hollow(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    omega = parse_omega(args.omega)
+    omega = _check_omega(parse_omega(args.omega), args.n)
     parts = enumerate_partitions(omega, args.n)
     _emit(partitions_to_json(parts), None)
-    return EXIT_OK
-
-
-def _cmd_expand(args) -> int:
-    f = admissible_from_json(_read_json(args.admissible))
-    _emit(pcpoly_to_json(expand_admissible(f)), None)
     return EXIT_OK
 
 
@@ -188,10 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--omega", default="", metavar="LIST")
     p.set_defaults(handler=_cmd_partitions)
-
-    p = sub.add_parser("expand", help="expand a stored polynomial to words")
-    p.add_argument("--admissible", metavar="FILE", required=True)
-    p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("reduce", help="show one variable-elimination step")
     _add_poly_options(p)

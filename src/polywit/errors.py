@@ -35,10 +35,6 @@ class MultilinearityError(PolywitError):
     """A parsed monomial violates the one-use-per-variable requirement."""
 
 
-class NotAdmissibleError(PolywitError):
-    """A partially commutative polynomial lies outside the admissible span."""
-
-
 class CommutativityError(PolywitError):
     """Matrices assigned to the commuting variables fail to commute."""
 

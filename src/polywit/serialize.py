@@ -14,7 +14,7 @@ import re
 from .construct import ReductionStep
 from .errors import DimensionError
 from .matrices import Matrix, parse_rational
-from .polynomials import AdmissiblePoly, MarkedPoly, PCPoly
+from .polynomials import AdmissiblePoly, MarkedPoly
 from .witness import WitnessAssignment
 
 _INDEX_RE = re.compile(r"[1-9][0-9]*")
@@ -152,46 +152,6 @@ def admissible_to_json(f: AdmissiblePoly) -> list:
         }
         for (sigma, parts), lam in f.items_sorted()
     ]
-
-
-def admissible_from_json(records) -> AdmissiblePoly:
-    if not isinstance(records, list):
-        raise DimensionError("admissible polynomial must be a list of records")
-    if not records:
-        raise DimensionError(
-            "cannot infer the variable count from an empty record list"
-        )
-    coeffs = {}
-    omega = set()
-    n = None
-    for rec in records:
-        if not isinstance(rec, dict) or {"sigma", "parts", "coeff"} - set(rec):
-            raise DimensionError("records need sigma, parts, and coeff")
-        sigma = tuple(_int_list(rec["sigma"], "sigma"))
-        slots = _list(rec["parts"], "parts")
-        parts = tuple(tuple(_int_list(p, "parts slot")) for p in slots)
-        if n is None:
-            n = len(sigma)
-        omega.update(w for p in parts for w in p)
-        lam = parse_rational(str(rec["coeff"]))
-        key = (sigma, parts)
-        coeffs[key] = coeffs.get(key, 0) + lam
-    return AdmissiblePoly(n, tuple(sorted(omega)), coeffs)
-
-
-def pcpoly_to_json(p: PCPoly) -> dict:
-    return {
-        "n": p.n,
-        "omega": list(p.omega),
-        "terms": [
-            {
-                "xs": list(xs),
-                "us": [list(seg) for seg in segs],
-                "coeff": str(c),
-            }
-            for (xs, segs), c in p.items_sorted()
-        ],
-    }
 
 
 def marked_to_json(g: MarkedPoly) -> dict:

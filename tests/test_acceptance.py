@@ -36,9 +36,6 @@ from polywit.polynomials import (
     MultilinearPoly,
     all_permutations,
     evaluate,
-    expand_admissible,
-    extract_coefficients,
-    extraction_has_full_column_rank,
     marker_at_one,
     marker_into_brackets,
     merge_position_index,
@@ -51,6 +48,11 @@ from polywit.randgen import (
     random_marked_pi_zero,
     random_multilinear,
     random_trace_zero,
+)
+from word_oracle import (
+    expand_admissible,
+    extract_coefficients,
+    extraction_has_full_column_rank,
 )
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import polywit
 from polywit import cli, harness
 from polywit.cli import run
 from polywit.matrices import Matrix
@@ -186,17 +187,24 @@ def test_partitions_empty_omega(capsys):
     assert json.loads(captured.out) == [[[], [], []]]
 
 
-def test_expand_command(tmp_path, capsys):
+@pytest.mark.parametrize("omega", ["0,1", "2"])
+def test_partitions_rejects_indices_not_above_n(omega, capsys):
+    assert run(["partitions", "--n", "2", "--omega", omega]) == 3
+    assert "exceed the variable count" in capsys.readouterr().err
+
+
+def test_word_expansion_is_not_shipped(tmp_path, capsys):
     path = tmp_path / "adm.json"
     path.write_text(
         json.dumps([{"sigma": [1], "parts": [[2]], "coeff": "1"}])
     )
-    code = run(["expand", "--admissible", str(path)])
-    captured = capsys.readouterr()
-    assert code == 0
-    doc = json.loads(captured.out)
-    assert doc["n"] == 1
-    assert len(doc["terms"]) == 2
+    assert run(["expand", "--admissible", str(path)]) == 3
+    capsys.readouterr()
+    assert all(hasattr(polywit, name) for name in polywit.__all__)
+    moved = {
+        "PCPoly", "expand_admissible", "extract_coefficients", "NotAdmissibleError"
+    }
+    assert not any(hasattr(polywit, name) for name in moved)
 
 
 def test_reduce_command(capsys):
@@ -221,6 +229,14 @@ def test_selftest_command(capsys):
     assert code == 0
     assert "witness construction" in captured.out
     assert "result: PASS" in captured.out
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_rejects_fewer_than_one_case(cases, capsys):
+    assert run(["selftest", "--cases", cases]) == 3
+    captured = capsys.readouterr()
+    assert "result: PASS" not in captured.out
+    assert "at least one case" in captured.err
 
 
 def test_selftest_env_seed(monkeypatch, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from polywit.errors import (
     DimensionError,
     EmptyPolynomialError,
-    NotAdmissibleError,
     PreconditionError,
 )
 from polywit.matrices import Matrix
@@ -17,14 +16,9 @@ from polywit.polynomials import (
     AdmissiblePoly,
     MarkedPoly,
     MultilinearPoly,
-    PCPoly,
     all_permutations,
     enumerate_partitions,
     evaluate,
-    expand_admissible,
-    expand_marked,
-    extract_coefficients,
-    extraction_has_full_column_rank,
     from_multilinear,
     insert_symbol,
     marked_form,
@@ -33,7 +27,6 @@ from polywit.polynomials import (
     merge_position_index,
     min_k_and_omegabar,
     reindex_by_position,
-    substitute_u_one,
 )
 from polywit.randgen import (
     random_admissible,
@@ -41,6 +34,16 @@ from polywit.randgen import (
     random_marked,
     random_marked_pi_zero,
     random_multilinear,
+)
+from word_oracle import (
+    NotAdmissibleError,
+    PCPoly,
+    evaluate_pc,
+    expand_admissible,
+    expand_marked,
+    extract_coefficients,
+    extraction_has_full_column_rank,
+    substitute_u_one,
 )
 
 # ------------------------------------------------------------- combinatorics
@@ -239,7 +242,8 @@ def test_evaluate_pc_matches_expand():
     for seed in range(5):
         f = random_admissible(2, (3,), density=0.6, seed=seed)
         w = random_commuting_assignment(range(1, 3), (3,), size=2, seed=seed + 7)
-        assert evaluate(f, w) == evaluate(expand_admissible(f), w)
+        assert evaluate(f, w) == evaluate_pc(expand_admissible(f), w)
+    assert evaluate_pc(PCPoly.one(0, ()), w) == Matrix.identity(2)
 
 
 def test_evaluate_starts_each_term_at_its_first_factor(monkeypatch):
@@ -257,7 +261,6 @@ def test_evaluate_starts_each_term_at_its_first_factor(monkeypatch):
     assert evaluate(f, w) == want
     # 24 words of 4 letters: 3 products each, none against an identity.
     assert len(calls) == 24 * 3
-    assert evaluate(PCPoly.one(0, ()), w) == Matrix.identity(2)
 
 
 # ----------------------------------------------------------------- reduction

@@ -11,18 +11,15 @@ from polywit.polynomials import (
     AdmissiblePoly,
     MultilinearPoly,
     enumerate_partitions,
-    expand_admissible,
     from_multilinear,
 )
 from polywit.randgen import random_admissible, random_trace_zero
 from polywit.serialize import (
-    admissible_from_json,
     admissible_to_json,
     marked_to_json,
     matrix_from_json,
     matrix_to_json,
     partitions_to_json,
-    pcpoly_to_json,
     reduction_to_json,
     witness_from_json,
     witness_to_json,
@@ -154,53 +151,11 @@ def test_admissible_round_trip():
     f = random_admissible(2, (3, 4), density=0.6, seed=2)
     records = admissible_to_json(f)
     assert all(set(r) == {"sigma", "parts", "coeff"} for r in records)
-    assert admissible_from_json(records) == f
-
-
-def test_admissible_from_json_merges_duplicates():
-    records = [
-        {"sigma": [1], "parts": [[2]], "coeff": "1/2"},
-        {"sigma": [1], "parts": [[2]], "coeff": "1/2"},
-    ]
-    f = admissible_from_json(records)
-    assert f.coeffs == {((1,), ((2,),)): Fraction(1)}
-
-
-def test_admissible_rejects_empty_and_malformed():
-    with pytest.raises(DimensionError):
-        admissible_from_json([])
-    with pytest.raises(DimensionError):
-        admissible_from_json([{"sigma": [1]}])
-    with pytest.raises(DimensionError):
-        admissible_from_json(
-            [
-                {"sigma": [1], "parts": [[2]], "coeff": "1"},
-                {"sigma": [1], "parts": [[3]], "coeff": "1"},
-            ]
-        )
-
-
-@pytest.mark.parametrize(
-    "record",
-    [
-        {"sigma": 1, "parts": [[]], "coeff": "1"},
-        {"sigma": [1], "parts": 2, "coeff": "1"},
-        {"sigma": [1], "parts": [2], "coeff": "1"},
-        {"sigma": [1.0], "parts": [[]], "coeff": "1"},
-        {"sigma": [True], "parts": [[]], "coeff": "1"},
-    ],
-)
-def test_admissible_rejects_non_list_fields(record):
-    with pytest.raises(DimensionError):
-        admissible_from_json([record])
-
-
-def test_pcpoly_to_json_shape():
-    f = AdmissiblePoly(1, (3,), {((1,), ((3,),)): 1})
-    doc = pcpoly_to_json(expand_admissible(f))
-    assert doc["n"] == 1 and doc["omega"] == [3]
-    assert {tuple(t["xs"]) for t in doc["terms"]} == {(1,)}
-    assert {t["coeff"] for t in doc["terms"]} == {"1", "-1"}
+    coeffs = {
+        (tuple(r["sigma"]), tuple(map(tuple, r["parts"]))): r["coeff"]
+        for r in records
+    }
+    assert AdmissiblePoly(f.n, f.omega, coeffs) == f
 
 
 def test_reduction_to_json_shape():
