@@ -12,113 +12,104 @@ Every monomial must use each of X1..Xn exactly once for one uniform n,
 otherwise the text is rejected as non-multilinear.  Cancelling terms are
 legal, so the zero polynomial can be written; callers that need a
 nonzero polynomial check for themselves.
+
+Of several faults in one text, the one reported is, in this order:
+
+1. the first character outside the grammar, or the first number longer
+   than ``sys.get_int_max_str_digits()``, whichever comes first;
+2. otherwise the first grammar fault ("expected ..., found ...");
+3. otherwise the first monomial that is not multilinear.
+
+Syntax errors carry the 1-based ``position`` of the offending token.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import MultilinearityError, PolynomialSyntaxError
 from .polynomials import MultilinearPoly
 
-_TOKEN_RE = re.compile(r"X(?P<var>\d+)|(?P<num>\d+)|(?P<op>[+\-*/])|(?P<bad>\S)")
+# Each term is read by three anchored steps: the sign, an optional
+# coefficient ending in '*' and the run of variables.  Optional groups
+# mark how far a step got, so a failed step names its own fault.
+_SIGN_RE = re.compile(r"\s*([+-])?")
+_COEFF_RE = re.compile(r"\s*(\d+)(?:\s*(/)\s*(\d+)?)?(\s*\*)?")
+_VARS_RE = re.compile(r"\s*X\d+(?:\s*\*\s*X\d+)*(\s*\*)?")
+_INT_RE = re.compile(r"\d+")
+# The token at a fault: an X index or a number (found as its value), an
+# operator, or the end of the text.
+_FOUND_RE = re.compile(r"\s*(X?(\d+)|\S|\Z)")
 
 
-def _tokenize(text: str):
-    """(kind, value, 1-based position) triples; whitespace only separates."""
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "op":
-            append((kind, m.group(kind), m.start() + 1))
-        elif kind == "bad":
-            raise PolynomialSyntaxError(
-                f"unexpected character {m.group(kind)!r}", m.start() + 1
-            )
-        else:
-            try:
-                value = int(m.group(kind))
-            except ValueError as exc:  # past the interpreter's digit limit
-                raise PolynomialSyntaxError(str(exc), m.start() + 1) from None
-            append((kind, value, m.start() + 1))
-    append(("end", None, len(text) + 1))
-    return tokens
+def _fail(text: str, pos: int, expected: str):
+    m = _FOUND_RE.match(text, pos)
+    token, digits = m.groups()
+    found = repr(int(digits)) if digits else repr(token) if token else "end of input"
+    raise PolynomialSyntaxError(f"expected {expected}, found {found}", m.start(1) + 1)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _terms(text: str):
+    """(coefficient, variable indices) per term; raises at the first fault."""
+    terms = []
+    sign = _SIGN_RE.match(text)
+    while True:
+        pos = sign.end()
+        coeff = -1 if sign.group(1) == "-" else 1
+        m = _COEFF_RE.match(text, pos)
+        if m:
+            num, slash, den, star = m.groups()
+            if slash and not den:
+                _fail(text, m.end(2), "a denominator")
+            if den and not int(den):
+                raise PolynomialSyntaxError("zero denominator", m.start(3) + 1)
+            if not star:
+                _fail(text, m.end(), "'*' after the coefficient")
+            coeff *= Fraction(int(num), int(den)) if den else int(num)
+            pos = m.end()
+        m = _VARS_RE.match(text, pos)
+        if m is None:
+            _fail(text, pos, "a variable like X1")
+        if m.group(1):
+            _fail(text, m.end(), "a variable after '*'")
+        terms.append((coeff, tuple(map(int, _INT_RE.findall(text, pos, m.end())))))
+        sign = _SIGN_RE.match(text, m.end())
+        if sign.group(1) is None:
+            if sign.end() == len(text):
+                return terms
+            _fail(text, sign.end(), "'+' or '-' between terms")
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, expected: str):
-        kind, value, pos = self.peek()
-        found = "end of input" if kind == "end" else repr(value)
-        raise PolynomialSyntaxError(f"expected {expected}, found {found}", pos)
-
-    def term(self):
-        """One monomial: optional rational coefficient, then variables."""
-        coeff = Fraction(1)
-        kind, value, pos = self.peek()
-        if kind == "num":
-            self.take()
-            num = value
-            den = 1
-            if self.peek()[0] == "op" and self.peek()[1] == "/":
-                self.take()
-                if self.peek()[0] != "num":
-                    self.fail("a denominator")
-                _, den, dpos = self.take()
-                if den == 0:
-                    raise PolynomialSyntaxError("zero denominator", dpos)
-            coeff = Fraction(num, den)
-            if not (self.peek()[0] == "op" and self.peek()[1] == "*"):
-                self.fail("'*' after the coefficient")
-            self.take()
-        if self.peek()[0] != "var":
-            self.fail("a variable like X1")
-        variables = [self.take()[1]]
-        while self.peek()[0] == "op" and self.peek()[1] == "*":
-            self.take()
-            if self.peek()[0] != "var":
-                self.fail("a variable after '*'")
-            variables.append(self.take()[1])
-        return coeff, variables
-
-    def poly(self):
-        terms = []
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            sign = -1 if value == "-" else 1
-        coeff, variables = self.term()
-        terms.append((sign * coeff, variables))
-        while self.peek()[0] != "end":
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                coeff, variables = self.term()
-                terms.append(((-1 if value == "-" else 1) * coeff, variables))
-            else:
-                self.fail("'+' or '-' between terms")
-        return terms
+def _prescan(text: str) -> None:
+    """Raise at the first bad character or over-long number, if any."""
+    limit = sys.get_int_max_str_digits()
+    digits = rf"\d{{{limit + 1},}}"
+    long = rf"|X{digits}|(?<![\dX]){digits}" if limit else ""
+    m = re.search(rf"[^\dX+\-*/\s]|X(?!\d){long}", text)
+    if m is None:
+        return
+    if len(m.group()) == 1:
+        raise PolynomialSyntaxError(f"unexpected character {m.group()!r}", m.start() + 1)
+    try:
+        int(m.group().lstrip("X"))
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise PolynomialSyntaxError(str(exc), m.start() + 1) from None
 
 
 def parse_poly(text: str) -> MultilinearPoly:
     """Parse and validate a multilinear polynomial from text."""
     if not text or not text.strip():
         raise PolynomialSyntaxError("empty input", 1)
-    terms = _Parser(text).poly()
+    try:
+        terms = _terms(text)
+    except (PolynomialSyntaxError, ValueError):
+        # A bad character or over-long number anywhere outranks the scan's
+        # own fault.  Each one stops the scan at or before itself, so the
+        # text needs this check only when the scan fails.
+        _prescan(text)
+        raise
     n = len(terms[0][1])
     expected = list(range(1, n + 1))
     coeffs = {}
@@ -128,12 +119,11 @@ def parse_poly(text: str) -> MultilinearPoly:
             raise MultilinearityError(
                 f"monomial {monomial} must use X1..X{n} exactly once each"
             )
-        key = tuple(variables)
-        total = coeffs.get(key, 0) + coeff
+        total = coeffs.get(variables, 0) + coeff
         if total == 0:
-            coeffs.pop(key, None)
+            coeffs.pop(variables, None)
         else:
-            coeffs[key] = total
+            coeffs[variables] = total
     return MultilinearPoly(n, coeffs)
 
 
@@ -162,4 +152,7 @@ def parse_omega(text: str):
         raise PolynomialSyntaxError(f"not a comma-separated index list: {text!r}")
     if not text or not text.strip():
         return ()
-    return tuple(sorted({int(part) for part in text.split(",")}))
+    try:
+        return tuple(sorted({int(part) for part in text.split(",")}))
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise PolynomialSyntaxError(str(exc)) from None

@@ -137,7 +137,12 @@ def witness_from_json(obj):
         trace=_clean_trace(obj.get("trace")),
     )
     target = matrix_from_json(obj["target"])
-    return w, target, bool(obj["verified"])
+    verified = obj["verified"]
+    if not isinstance(verified, bool):
+        raise DimensionError(
+            f"witness verified flag must be a boolean, got {type(verified).__name__}"
+        )
+    return w, target, verified
 
 
 # --------------------------------------------------------------- polynomials

@@ -193,6 +193,12 @@ def test_partitions_rejects_indices_not_above_n(omega, capsys):
     assert "exceed the variable count" in capsys.readouterr().err
 
 
+def test_partitions_rejects_index_past_digit_limit(capsys):
+    huge = "7" * 5000
+    assert run(["partitions", "--n", "2", "--omega", huge]) == 3
+    assert "value has 5000 digits" in capsys.readouterr().err
+
+
 def test_word_expansion_is_not_shipped(tmp_path, capsys):
     path = tmp_path / "adm.json"
     path.write_text(

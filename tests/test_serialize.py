@@ -122,6 +122,12 @@ def test_witness_rejects_bad_types(changes):
         witness_from_json(_small_witness_doc(**changes))
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_witness_rejects_non_boolean_verified(flag):
+    with pytest.raises(DimensionError, match="verified flag must be a boolean"):
+        witness_from_json(_small_witness_doc(verified=flag))
+
+
 @pytest.mark.parametrize(
     "keys", [("1", "01"), ("1_0",), ("0",), ("-1",), ("+1",), (" 1",), ("1\n",), ("x",)]
 )
