@@ -1,6 +1,6 @@
 """Witness construction: hollow similarity, the single-variable base
 case, the shift-bracket closed form, the block lift, and the recursion
-that strips one noncommuting variable per level.
+that strips the cheapest noncommuting variable per level.
 
 Every returned assignment satisfies evaluate(f, result) equal to the
 target embedded top-left, by exact arithmetic; the test suite and the
@@ -39,6 +39,7 @@ from .polynomials import (
     marker_into_brackets,
     min_k_and_omegabar,
     reindex_by_position,
+    swap_labels,
 )
 from .witness import WitnessAssignment
 
@@ -201,11 +202,17 @@ def lift_witness(
 
 
 class ReductionStep:
-    """Record of one variable-elimination level."""
+    """Record of one variable-elimination level.
 
-    __slots__ = ("k", "omegabar", "marked", "pi_part", "rewritten", "branch")
+    ``v`` is the eliminated variable.  The marked form and both images
+    are those of f with the labels v and n exchanged, so in them the
+    label v (when v < n) stands for f's X_n.
+    """
 
-    def __init__(self, k, omegabar, marked, pi_part, rewritten, branch):
+    __slots__ = ("v", "k", "omegabar", "marked", "pi_part", "rewritten", "branch")
+
+    def __init__(self, v, k, omegabar, marked, pi_part, rewritten, branch):
+        self.v = v
         self.k = k
         self.omegabar = tuple(omegabar)
         self.marked = marked
@@ -213,15 +220,28 @@ class ReductionStep:
         self.rewritten = rewritten
         self.branch = branch
 
+    @property
+    def reduced(self) -> AdmissiblePoly:
+        """The next level's polynomial."""
+        return self.pi_part if self.branch == BRANCH_PI else self.rewritten
+
     def __repr__(self):
         return (
-            f"ReductionStep(k={self.k}, omegabar={self.omegabar}, "
+            f"ReductionStep(v={self.v}, k={self.k}, omegabar={self.omegabar}, "
             f"branch={self.branch!r})"
         )
 
 
-def reduce_step(f: AdmissiblePoly) -> ReductionStep:
-    """Select the cheapest top-variable slot and split on the marker image.
+def _least_slot_lengths(f: AdmissiblePoly):
+    """k_v for v = 1..n: the shortest slot variable v carries in any term."""
+    if not f.omega:
+        return [0] * f.n
+    patterns = {parts for (_, parts) in f.coeffs}
+    return [min(len(parts[i]) for parts in patterns) for i in range(f.n)]
+
+
+def _eliminate_top(f: AdmissiblePoly, v: int) -> ReductionStep:
+    """Eliminate X_n from f, whose labels v and n are already exchanged.
 
     If sending the marker to 1 leaves something nonzero, that image is
     the next polynomial.  Otherwise the bracket rewrite is, and it must
@@ -229,32 +249,61 @@ def reduce_step(f: AdmissiblePoly) -> ReductionStep:
     to zero, contradicting how the slot was chosen.  Reaching that state
     means a bug, so it raises instead of being swallowed.
     """
-    if f.is_zero():
-        raise EmptyPolynomialError("cannot reduce the zero polynomial")
-    if f.n < 2:
-        raise PreconditionError("reduction needs at least two variables")
     idx = reindex_by_position(f)
     k, omegabar = min_k_and_omegabar(idx, f.n)
     marked = marked_form(idx, k, omegabar, f.n, f.omega)
     pi_part = marker_at_one(marked)
     if not pi_part.is_zero():
-        return ReductionStep(k, omegabar, marked, pi_part, None, BRANCH_PI)
+        return ReductionStep(v, k, omegabar, marked, pi_part, None, BRANCH_PI)
     rewritten = marker_into_brackets(marked)
     if rewritten.is_zero():
         raise InternalInvariantError(
             "marker image and bracket rewrite are both zero; the slot "
             "selection guarantees this cannot happen"
         )
-    return ReductionStep(k, omegabar, marked, pi_part, rewritten, BRANCH_REWRITE)
+    return ReductionStep(v, k, omegabar, marked, pi_part, rewritten, BRANCH_REWRITE)
+
+
+def reduce_step(f: AdmissiblePoly) -> ReductionStep:
+    """Eliminate the cheapest variable X_v at its cheapest slot.
+
+    f is multilinear in the X's, so any variable can be the one removed:
+    X_v is eliminated as X_n of f with the labels v and n exchanged.
+    Only the v whose least slot length k_v is minimal are candidates,
+    since k sets the lift's block growth.  They are tried from v = n
+    down, and the first whose next level has no more terms than f is
+    taken; if none qualifies, the one with the fewest terms is.  Later
+    candidates are not built.
+    """
+    if f.is_zero():
+        raise EmptyPolynomialError("cannot reduce the zero polynomial")
+    if f.n < 2:
+        raise PreconditionError("reduction needs at least two variables")
+    lengths = _least_slot_lengths(f)
+    k = min(lengths)
+    best = None
+    for v in range(f.n, 0, -1):
+        if lengths[v - 1] != k:
+            continue
+        step = _eliminate_top(f if v == f.n else swap_labels(f, v), v)
+        terms = len(step.reduced.coeffs)
+        if terms <= len(f.coeffs):
+            return step
+        if best is None or terms < len(best.reduced.coeffs):
+            best = step
+    return best
 
 
 def construct_witness(f: AdmissiblePoly, a: Matrix) -> WitnessAssignment:
     """Recursive witness construction for an admissible polynomial.
 
-    One noncommuting variable is eliminated per level; the reduced
-    witness is lifted back through blocks of size k+1.  On the marker-
-    to-1 branch the marker matrix is the identity, realizing the fact
-    that values of the marker-free image are values of the marked form.
+    One noncommuting variable X_v, chosen by ``reduce_step``, is
+    eliminated per level; the reduced witness is lifted back through
+    blocks of size k+1 as the witness of f with X_v and X_n exchanged,
+    and exchanging their matrices again gives f's witness.  On the
+    marker-to-1 branch the marker matrix is the identity, realizing the
+    fact that values of the marker-free image are values of the marked
+    form.
     """
     if f.is_zero():
         raise EmptyPolynomialError("cannot construct a witness for zero")
@@ -266,13 +315,14 @@ def construct_witness(f: AdmissiblePoly, a: Matrix) -> WitnessAssignment:
         w.trace = []
         return w
     step = reduce_step(f)
+    sub = construct_witness(step.reduced, a)
+    gw = sub
     if step.branch == BRANCH_PI:
-        sub = construct_witness(step.pi_part, a)
         gw = sub.with_u(f.n, Matrix.identity(sub.size))
-    else:
-        sub = construct_witness(step.rewritten, a)
-        gw = sub
     w = lift_witness(gw, step.k, step.omegabar, f.omega, f.n)
+    # The U's are keyed above n, so only the two X's change places.
+    x = w.x_assign
+    x[step.v], x[f.n] = x[f.n], x[step.v]
     w.trace = [
         {"k": step.k, "omegabar": list(step.omegabar), "branch": step.branch}
     ] + sub.trace

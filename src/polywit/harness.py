@@ -202,7 +202,7 @@ def _check_integer_reduction(i: int, seed: int) -> bool:
         f = random_bracket(n, density=0.7, seed=seed)
     else:
         f = random_multilinear(n, density=0.7, seed=seed)
-    # No numerator the generator draws is a multiple of 7, so every
+    # No numerator the generator draws is a multiple of 7, so some
     # coefficient is fractional and the entry point really rescales.
     f = MultilinearPoly(n, {sigma: lam / 7 for sigma, lam in f.coeffs.items()})
     a = random_trace_zero(d, seed=seed + 1)

@@ -124,7 +124,7 @@ def parse_poly(text: str) -> MultilinearPoly:
             coeffs.pop(variables, None)
         else:
             coeffs[variables] = total
-    return MultilinearPoly(n, coeffs)
+    return MultilinearPoly._trusted(n, coeffs)
 
 
 def poly_to_str(f: MultilinearPoly) -> str:

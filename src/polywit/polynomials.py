@@ -6,9 +6,10 @@ also run on plain ``int`` coefficients and keep them ``int``; the
 constructor scales its input to integers for that reason.  The zero
 polynomial is an empty coefficient map in every representation, and all
 constructors drop zero coefficients on entry.
-The public constructors also validate their keys; the reduction builds
-its results through ``_trusted`` constructors that only drop zeros,
-because its keys are well formed by construction.
+The public constructors also validate their keys; the reduction and the
+text parser build their results through ``_trusted`` constructors that
+skip those checks, because the reduction's keys are well formed by
+construction and the parser has already checked every monomial.
 
 An admissible basis element is indexed by a permutation together with a
 partition of the commuting index set into per-variable slots; the term
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from fractions import Fraction
 
 from .errors import (
     ArityError,
@@ -121,6 +123,15 @@ class MultilinearPoly:
             if lam:
                 clean[sigma] = lam
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, n: int, coeffs: dict) -> "MultilinearPoly":
+        """Polynomial from permutation-word keys already checked; the
+        coefficients are only made ``Fraction``s and zeros dropped."""
+        f = object.__new__(cls)
+        f.n = n
+        f.coeffs = {sigma: Fraction(lam) for sigma, lam in coeffs.items() if lam}
+        return f
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -341,6 +352,24 @@ def evaluate(poly, w: WitnessAssignment) -> Matrix:
 
 
 # -------------------------------------------------------------------- reduction
+
+
+def swap_labels(f: AdmissiblePoly, v: int) -> AdmissiblePoly:
+    """f with the variable labels v and n exchanged, in words and slots.
+
+    The result evaluated at Y equals f evaluated at Y with Y_v and Y_n
+    exchanged, so a witness for one becomes a witness for the other by
+    swapping the matrices of those two variables.
+    """
+    n = f.n
+    image = list(range(n + 1))
+    image[v], image[n] = n, v
+    coeffs = {}
+    for (sigma, parts), lam in f.coeffs.items():
+        slots = list(parts)
+        slots[v - 1], slots[n - 1] = parts[n - 1], parts[v - 1]
+        coeffs[(tuple(map(image.__getitem__, sigma)), tuple(slots))] = lam
+    return AdmissiblePoly._trusted(n, f.omega, coeffs)
 
 
 def reindex_by_position(f: AdmissiblePoly):

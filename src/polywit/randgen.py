@@ -50,18 +50,29 @@ def random_multilinear(n: int, density: float = 0.6, seed: int = 0) -> Multiline
 
 
 def random_bracket(n: int, density: float = 0.6, seed: int = 0) -> MultilinearPoly:
-    """[h, X_n] for a random multilinear h in X_1..X_{n-1}.
+    """Random multilinear Lie polynomial in X_1..X_n.
 
-    Its marker-to-1 image vanishes, so the reduction takes the rewrite
-    branch at the top level and the base case gets a commuting index,
-    which dense random polynomials almost never reach.
+    It combines left-normed brackets [..[X1, X_t(2)], ..., X_t(n)] with
+    random coefficients; the word X1 X_t(2) ... X_t(n) occurs only in
+    its own bracket, so the result is nonzero.  Sending any variable to
+    1 kills every bracket, so whichever variable the reduction
+    eliminates, it takes the rewrite branch at the top level and the
+    base case gets a commuting index, which dense random polynomials
+    almost never reach.
     """
     if n < 2:
         raise DimensionError("a bracket needs at least two variables")
     coeffs = {}
-    for tau, lam in random_multilinear(n - 1, density, seed).coeffs.items():
-        coeffs[tau + (n,)] = lam
-        coeffs[(n,) + tau] = -lam
+    for tail, lam in random_multilinear(n - 1, density, seed).coeffs.items():
+        words = {(1,): lam}
+        for v in tail:
+            grown = {}
+            for word, c in words.items():
+                grown[word + (v + 1,)] = c
+                grown[(v + 1,) + word] = -c
+            words = grown
+        for word, c in words.items():
+            coeffs[word] = coeffs.get(word, 0) + c
     return MultilinearPoly(n, coeffs)
 
 

@@ -178,6 +178,7 @@ def marked_to_json(g: MarkedPoly) -> dict:
 
 def reduction_to_json(step: ReductionStep) -> dict:
     return {
+        "v": step.v,
         "k": step.k,
         "omegabar": list(step.omegabar),
         "branch": step.branch,

@@ -223,6 +223,19 @@ def test_reduce_command(capsys):
     assert doc["rewritten"] is None
 
 
+def test_reduce_shows_the_chosen_variable(capsys):
+    # Eliminating X4 would rewrite 2 terms into 3; X3 goes to 1 instead.
+    code = run(["reduce", "--poly-str", "X1*X2*X3*X4 - X4*X1*X2*X3"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (doc["v"], doc["k"], doc["branch"]) == (3, 0, "pi")
+    # Written with X3 and X4 exchanged: X3 stands for the input's X4.
+    assert doc["pi_of_g"] == [
+        {"sigma": [1, 2, 3], "parts": [[], [], []], "coeff": "1"},
+        {"sigma": [3, 1, 2], "parts": [[], [], []], "coeff": "-1"},
+    ]
+
+
 def test_reduce_rejects_zero_and_unary(capsys):
     assert run(["reduce", "--poly-str", "X1 - X1"]) == 3
     assert run(["reduce", "--poly-str", "X1"]) == 3

@@ -39,7 +39,12 @@ from polywit.polynomials import (
     MultilinearPoly,
     evaluate,
     from_multilinear,
+    marked_form,
+    marker_at_one,
+    marker_into_brackets,
     merge_position_index,
+    min_k_and_omegabar,
+    reindex_by_position,
 )
 from polywit.randgen import (
     random_admissible,
@@ -51,6 +56,7 @@ from polywit.randgen import (
 )
 from polywit.harness import verify
 from polywit.serialize import witness_to_json
+from polywit.witness import WitnessAssignment
 
 # ----------------------------------------------------------- hollow form
 
@@ -471,3 +477,118 @@ def test_reduction_runs_on_int_coefficients(monkeypatch, f):
     for p in polys:
         assert all(type(lam) is int for lam in p.coeffs.values())
     assert verify(f, w, a)
+
+
+# ------------------------------------------------------- elimination order
+
+
+def _fixed_order(f: MultilinearPoly, d: int):
+    """Witness size and (k, branch) per level when every level eliminates
+    X_n, rebuilt from the polynomial helpers alone."""
+    g = from_multilinear(f)
+    s = 1
+    levels = []
+    while g.n > 1:
+        idx = reindex_by_position(g)
+        k, omegabar = min_k_and_omegabar(idx, g.n)
+        marked = marked_form(idx, k, omegabar, g.n, g.omega)
+        image = marker_at_one(marked)
+        if image.is_zero():
+            g, branch = marker_into_brackets(marked), BRANCH_REWRITE
+        else:
+            g, branch = image, BRANCH_PI
+        s *= k + 1
+        levels.append((k, branch))
+    ((_, parts),) = g.coeffs
+    return s * (d + 1 if parts[0] else d), levels
+
+
+_SPARSE_WORDS = st.integers(2, 6).flatmap(
+    lambda n: st.dictionaries(
+        st.permutations(range(1, n + 1)).map(tuple),
+        st.sampled_from([-2, -1, 1, 2]),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_SPARSE_WORDS, st.integers(1, 3))
+def test_chosen_order_never_grows_s(coeffs, d):
+    """Sparse polynomials are where k >= 1 occurs, so where the order
+    changes s; the fixed X_n order is the reference."""
+    f = MultilinearPoly(len(next(iter(coeffs))), coeffs)
+    a = random_trace_zero(d, seed=d)
+    s, w = witness_for_multilinear(f, a)
+    assert s <= _fixed_order(f, d)[0]
+    assert verify(f, w, a)
+
+
+def test_lie_4_eliminates_x3_first():
+    # Eliminating X4 would rewrite the 8 terms into 12; X3 keeps 8.
+    f = _left_normed(4)
+    step = reduce_step(from_multilinear(f))
+    assert (step.v, step.k, step.branch) == (3, 0, BRANCH_REWRITE)
+    assert len(step.rewritten.coeffs) == 8
+    a = random_trace_zero(3, seed=7)
+    s, w = witness_for_multilinear(f, a)
+    assert s == 4
+    assert verify(f, w, a)
+
+
+def test_swap_back_after_eliminating_x3():
+    # [X1*X2*X3, X4]: eliminating X4 rewrites 2 terms into 3, while X3 goes
+    # to 1 and leaves [X1*X2, X4], so X3 gets the marker matrix I.
+    f = MultilinearPoly(4, {(1, 2, 3, 4): 1, (4, 1, 2, 3): -1})
+    step = reduce_step(from_multilinear(f))
+    assert (step.v, step.branch) == (3, BRANCH_PI)
+    a = random_trace_zero(2, seed=7)
+    s, w = witness_for_multilinear(f, a)
+    assert w.x(3) == Matrix.identity(s)
+    assert verify(f, w, a)
+    # Without the swap back X4 would be I, and f would vanish.
+    x = dict(w.x_assign)
+    x[3], x[4] = x[4], x[3]
+    assert not verify(f, WitnessAssignment(s, x, w.u_assign), a)
+
+
+def test_lie_10_chain_never_grows():
+    g = from_multilinear(_left_normed(10))
+    while g.n > 1:
+        g = reduce_step(g).reduced
+        assert len(g.coeffs) <= 512
+
+
+# Two sparse n=6 polynomials that reach k >= 1 when X_n is always
+# eliminated: (rewrite, 1) and (pi, 2) at the last level.
+_SPARSE_N6 = {
+    "rewrite_k1": {
+        (6, 1, 4, 5, 2, 3): 2, (6, 1, 2, 3, 4, 5): -2, (5, 6, 3, 2, 4, 1): 2,
+        (5, 2, 3, 4, 1, 6): -2, (3, 4, 5, 2, 1, 6): -2, (2, 6, 5, 3, 4, 1): 2,
+    },
+    "pi_k2": {
+        (2, 4, 6, 3, 1, 5): -2, (6, 1, 4, 2, 3, 5): 1, (1, 5, 2, 3, 6, 4): -1,
+        (1, 4, 3, 6, 5, 2): -1, (2, 6, 4, 3, 1, 5): 2, (1, 3, 2, 4, 5, 6): 1,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name,d,size,fixed_size,fixed_last",
+    [
+        ("rewrite_k1", 2, 3, 6, (1, BRANCH_REWRITE)),
+        ("rewrite_k1", 3, 4, 8, (1, BRANCH_REWRITE)),
+        ("pi_k2", 2, 3, 6, (2, BRANCH_PI)),
+        ("pi_k2", 3, 4, 9, (2, BRANCH_PI)),
+    ],
+)
+def test_sparse_n6_polynomials_stay_at_k0(name, d, size, fixed_size, fixed_last):
+    f = MultilinearPoly(6, _SPARSE_N6[name])
+    a = random_trace_zero(d, seed=d)
+    s, w = witness_for_multilinear(f, a)
+    assert s == size
+    assert [t["k"] for t in w.trace] == [0] * 5
+    assert verify(f, w, a)
+    fixed_s, fixed_levels = _fixed_order(f, d)
+    assert (fixed_s, fixed_levels[-1]) == (fixed_size, fixed_last)

@@ -226,6 +226,13 @@ def test_print_parse_round_trip(n, seed):
     assert parse_poly(poly_to_str(f)) == f
 
 
+def test_parsed_coefficients_are_fractions():
+    f = parse_poly("2*X1*X2 - X2*X1 + 3*X2*X1 + 1/2*X1*X2 - 5/2*X1*X2")
+    assert f.coeffs == {(2, 1): 2}
+    assert all(type(lam) is Fraction for lam in f.coeffs.values())
+    assert f == MultilinearPoly(2, f.coeffs)
+
+
 def test_parse_omega():
     assert parse_omega("") == ()
     assert parse_omega("3") == (3,)

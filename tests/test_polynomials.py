@@ -27,6 +27,7 @@ from polywit.polynomials import (
     merge_position_index,
     min_k_and_omegabar,
     reindex_by_position,
+    swap_labels,
 )
 from polywit.randgen import (
     random_admissible,
@@ -35,6 +36,7 @@ from polywit.randgen import (
     random_marked_pi_zero,
     random_multilinear,
 )
+from polywit.witness import WitnessAssignment
 from word_oracle import (
     NotAdmissibleError,
     PCPoly,
@@ -399,3 +401,19 @@ def test_marker_image_identity_random(seed):
     g = random_marked(3, (4, 5), (5,), density=0.4, seed=seed)
     collapsed = substitute_u_one(expand_marked(g), g.marker)
     assert collapsed == expand_admissible(marker_at_one(g))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 10 ** 6), st.data())
+def test_swap_labels_exchanges_the_variables(n, m, seed, data):
+    """g = swap_labels(f, v) satisfies g(X) = f(X with X_v and X_n exchanged)."""
+    omega = tuple(range(n + 1, n + 1 + m))
+    f = random_admissible(n, omega, density=0.5, seed=seed)
+    v = data.draw(st.integers(1, n))
+    g = swap_labels(f, v)
+    assert g == AdmissiblePoly(n, omega, g.coeffs)
+    assert swap_labels(g, v) == f
+    w = random_commuting_assignment(range(1, n + 1), omega, size=2, seed=seed)
+    x = dict(w.x_assign)
+    x[v], x[n] = x[n], x[v]
+    assert evaluate(g, w) == evaluate(f, WitnessAssignment(2, x, w.u_assign))
