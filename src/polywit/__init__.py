@@ -28,6 +28,7 @@ from .errors import (
     PolywitError,
     PreconditionError,
     RationalLiteralError,
+    ResourceLimitError,
     SingularMatrixError,
 )
 from .harness import RunReport, run_witness, selftest, verify
@@ -68,6 +69,7 @@ __all__ = [
     "PolywitError",
     "PreconditionError",
     "RationalLiteralError",
+    "ResourceLimitError",
     "RunReport",
     "SingularMatrixError",
     "WitnessAssignment",

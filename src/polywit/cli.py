@@ -124,9 +124,8 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    f = _load_poly(args)
-    step = reduce_step(from_multilinear(f))
-    _emit(reduction_to_json(step), None)
+    f = from_multilinear(_load_poly(args))
+    _emit(reduction_to_json(f, reduce_step(f)), None)
     return EXIT_OK
 
 

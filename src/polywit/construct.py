@@ -33,11 +33,18 @@ from .matrices import (
 from .polynomials import (
     AdmissiblePoly,
     MultilinearPoly,
-    from_multilinear,
+    bracket_rewrite,
+    bracket_rewrite_size,
+    # This and min_k_and_omegabar are unused here; bound so that
+    # bench/tracing.py can still patch them.
+    from_multilinear,  # noqa: F401
+    group_marker_positions,
     marked_form,
     marker_at_one,
     marker_into_brackets,
-    min_k_and_omegabar,
+    min_k_and_omegabar,  # noqa: F401
+    pi_image,
+    pi_image_size,
     reindex_by_position,
     swap_labels,
 )
@@ -131,7 +138,7 @@ def base_case_witness(lam, omegas, a: Matrix) -> WitnessAssignment:
     m = len(omegas)
     inv_lam = 1 / lam
     if m == 0:
-        return WitnessAssignment(d, {1: a.scale(inv_lam)}, {})
+        return WitnessAssignment._trusted(d, {1: a.scale(inv_lam)}, {})
     p, pinv, h = hollow_similarity(a)
     s = d + 1
     u = Matrix.diagonal(range(s))
@@ -142,7 +149,7 @@ def base_case_witness(lam, omegas, a: Matrix) -> WitnessAssignment:
     x = Matrix._trusted(rows)
     x1 = (pinv * x * p).scale(inv_lam)
     uu = pinv * u * p
-    return WitnessAssignment(s, {1: x1}, {om: uu for om in omegas})
+    return WitnessAssignment._trusted(s, {1: x1}, {om: uu for om in omegas})
 
 
 # ------------------------------------------------------------- closed form
@@ -195,7 +202,7 @@ def lift_witness(
             ubar[om] = shift
         else:
             ubar[om] = block_diagonal([gw.u(om)] * (k + 1))
-    return WitnessAssignment(big, xbar, ubar)
+    return WitnessAssignment._trusted(big, xbar, ubar)
 
 
 # --------------------------------------------------------------- recursion
@@ -204,26 +211,20 @@ def lift_witness(
 class ReductionStep:
     """Record of one variable-elimination level.
 
-    ``v`` is the eliminated variable.  The marked form and both images
-    are those of f with the labels v and n exchanged, so in them the
-    label v (when v < n) stands for f's X_n.
+    ``v`` is the eliminated variable and ``reduced`` the next level's
+    polynomial, written with the labels v and n exchanged, so in it the
+    label v (when v < n) stands for f's X_n.  The marked form and the
+    images it came from are not kept; ``reference_images`` rebuilds them.
     """
 
-    __slots__ = ("v", "k", "omegabar", "marked", "pi_part", "rewritten", "branch")
+    __slots__ = ("v", "k", "omegabar", "branch", "reduced")
 
-    def __init__(self, v, k, omegabar, marked, pi_part, rewritten, branch):
+    def __init__(self, v, k, omegabar, branch, reduced):
         self.v = v
         self.k = k
         self.omegabar = tuple(omegabar)
-        self.marked = marked
-        self.pi_part = pi_part
-        self.rewritten = rewritten
         self.branch = branch
-
-    @property
-    def reduced(self) -> AdmissiblePoly:
-        """The next level's polynomial."""
-        return self.pi_part if self.branch == BRANCH_PI else self.rewritten
+        self.reduced = reduced
 
     def __repr__(self):
         return (
@@ -232,16 +233,19 @@ class ReductionStep:
         )
 
 
-def _least_slot_lengths(f: AdmissiblePoly):
-    """k_v for v = 1..n: the shortest slot variable v carries in any term."""
+def _least_slots(f: AdmissiblePoly):
+    """For v = 1..n, the slot ``min_k_and_omegabar`` would pick were X_v
+    eliminated: the shortest slot X_v carries in any term, the
+    lexicographically first on a tie.  Its length is k_v."""
     if not f.omega:
-        return [0] * f.n
+        return [()] * f.n
     patterns = {parts for (_, parts) in f.coeffs}
-    return [min(len(parts[i]) for parts in patterns) for i in range(f.n)]
+    return [min((len(p[i]), p[i]) for p in patterns)[1] for i in range(f.n)]
 
 
-def _eliminate_top(f: AdmissiblePoly, v: int) -> ReductionStep:
-    """Eliminate X_n from f, whose labels v and n are already exchanged.
+def _next_level_size(groups):
+    """(branch, exact term count) of the level a grouped marked form
+    leads to.
 
     If sending the marker to 1 leaves something nonzero, that image is
     the next polynomial.  Otherwise the bracket rewrite is, and it must
@@ -249,19 +253,16 @@ def _eliminate_top(f: AdmissiblePoly, v: int) -> ReductionStep:
     to zero, contradicting how the slot was chosen.  Reaching that state
     means a bug, so it raises instead of being swallowed.
     """
-    idx = reindex_by_position(f)
-    k, omegabar = min_k_and_omegabar(idx, f.n)
-    marked = marked_form(idx, k, omegabar, f.n, f.omega)
-    pi_part = marker_at_one(marked)
-    if not pi_part.is_zero():
-        return ReductionStep(v, k, omegabar, marked, pi_part, None, BRANCH_PI)
-    rewritten = marker_into_brackets(marked)
-    if rewritten.is_zero():
+    terms = pi_image_size(groups)
+    if terms:
+        return BRANCH_PI, terms
+    terms = bracket_rewrite_size(groups)
+    if not terms:
         raise InternalInvariantError(
             "marker image and bracket rewrite are both zero; the slot "
             "selection guarantees this cannot happen"
         )
-    return ReductionStep(v, k, omegabar, marked, pi_part, rewritten, BRANCH_REWRITE)
+    return BRANCH_REWRITE, terms
 
 
 def reduce_step(f: AdmissiblePoly) -> ReductionStep:
@@ -272,26 +273,55 @@ def reduce_step(f: AdmissiblePoly) -> ReductionStep:
     Only the v whose least slot length k_v is minimal are candidates,
     since k sets the lift's block growth.  They are tried from v = n
     down, and the first whose next level has no more terms than f is
-    taken; if none qualifies, the one with the fewest terms is.  Later
-    candidates are not built.
+    taken; if none qualifies, the one with the fewest terms is (the
+    first on a tie).  Each candidate's next level is counted from one
+    grouping pass over f, and only the chosen one is built.
     """
     if f.is_zero():
         raise EmptyPolynomialError("cannot reduce the zero polynomial")
     if f.n < 2:
         raise PreconditionError("reduction needs at least two variables")
-    lengths = _least_slot_lengths(f)
-    k = min(lengths)
+    n = f.n
+    slots = _least_slots(f)
+    k = min(map(len, slots))
     best = None
-    for v in range(f.n, 0, -1):
-        if lengths[v - 1] != k:
+    for v in range(n, 0, -1):
+        omegabar = slots[v - 1]
+        if len(omegabar) != k:
             continue
-        step = _eliminate_top(f if v == f.n else swap_labels(f, v), v)
-        terms = len(step.reduced.coeffs)
+        groups = group_marker_positions(f, v, omegabar)
+        branch, terms = _next_level_size(groups)
+        if best is None or terms < best[-1]:
+            best = (v, omegabar, groups, branch, terms)
         if terms <= len(f.coeffs):
-            return step
-        if best is None or terms < len(best.reduced.coeffs):
-            best = step
-    return best
+            break
+    v, omegabar, groups, branch, terms = best
+    omega = tuple(w for w in f.omega if w not in omegabar)
+    if branch == BRANCH_PI:
+        reduced = pi_image(groups, n, omega)
+    else:
+        reduced = bracket_rewrite(groups, n, tuple(sorted(omega + (n,))))
+    if len(reduced.coeffs) != terms:
+        raise InternalInvariantError(
+            f"the next level has {len(reduced.coeffs)} terms, counted {terms}"
+        )
+    return ReductionStep(v, k, omegabar, branch, reduced)
+
+
+def reference_images(f: AdmissiblePoly, step: ReductionStep):
+    """The marked form, its marker-to-1 image and, on the rewrite branch,
+    its bracket rewrite (else None) for the level ``step`` took from f.
+
+    They are rebuilt with the reference helpers, for display:
+    ``reduce_step`` builds only ``step.reduced``, which is one of the two
+    images.
+    """
+    g = f if step.v == f.n else swap_labels(f, step.v)
+    marked = marked_form(reindex_by_position(g), step.k, step.omegabar, g.n, g.omega)
+    pi_part = marker_at_one(marked)
+    if step.branch == BRANCH_PI:
+        return marked, pi_part, None
+    return marked, pi_part, marker_into_brackets(marked)
 
 
 def construct_witness(f: AdmissiblePoly, a: Matrix) -> WitnessAssignment:
@@ -318,7 +348,9 @@ def construct_witness(f: AdmissiblePoly, a: Matrix) -> WitnessAssignment:
     sub = construct_witness(step.reduced, a)
     gw = sub
     if step.branch == BRANCH_PI:
-        gw = sub.with_u(f.n, Matrix.identity(sub.size))
+        u = dict(sub.u_assign)
+        u[f.n] = Matrix.identity(sub.size)
+        gw = WitnessAssignment._trusted(sub.size, sub.x_assign, u)
     w = lift_witness(gw, step.k, step.omegabar, f.omega, f.n)
     # The U's are keyed above n, so only the two X's change places.
     x = w.x_assign
@@ -354,12 +386,16 @@ def witness_for_multilinear(f: MultilinearPoly, a: Matrix):
     """
     if f.is_zero():
         raise EmptyPolynomialError("the zero polynomial only attains zero")
-    g = from_multilinear(f)
-    scale = math.lcm(*(lam.denominator for lam in g.coeffs.values()))
-    # g is a fresh map: rewriting it in place keeps no second copy alive
-    # through the recursion.
-    for key, lam in g.coeffs.items():
-        g.coeffs[key] = lam.numerator * (scale // lam.denominator)
+    scale = math.lcm(*(lam.denominator for lam in f.coeffs.values()))
+    empty = ((),) * f.n
+    g = AdmissiblePoly._trusted(
+        f.n,
+        (),
+        {
+            (sigma, empty): lam.numerator * (scale // lam.denominator)
+            for sigma, lam in f.coeffs.items()
+        },
+    )
     w = construct_witness(g, a.scale(scale))
     if w.size > size_bound(a.size, w.trace):
         raise InternalInvariantError(

@@ -4,12 +4,13 @@ Scalars are exact ``Fraction``s, so every zero test below is a real zero
 test.  The reduction helpers only add and subtract coefficients, so they
 also run on plain ``int`` coefficients and keep them ``int``; the
 constructor scales its input to integers for that reason.  The zero
-polynomial is an empty coefficient map in every representation, and all
-constructors drop zero coefficients on entry.
-The public constructors also validate their keys; the reduction and the
-text parser build their results through ``_trusted`` constructors that
-skip those checks, because the reduction's keys are well formed by
-construction and the parser has already checked every monomial.
+polynomial is an empty coefficient map in every representation, and no
+stored coefficient is zero: the public constructors drop zeros and
+validate their keys.  The reduction and the text parser build their
+results through ``_trusted`` constructors that skip those checks,
+because the reduction's keys are well formed and its coefficients
+nonzero by construction, and the parser has already checked every
+monomial.
 
 An admissible basis element is indexed by a permutation together with a
 partition of the commuting index set into per-variable slots; the term
@@ -34,6 +35,7 @@ from .errors import (
     EmptyPolynomialError,
     InternalInvariantError,
     PreconditionError,
+    ResourceLimitError,
 )
 from .matrices import Matrix, as_rational, iterated_commutator
 from .witness import WitnessAssignment
@@ -84,16 +86,28 @@ def _check_omega(omega, n: int):
     return omega
 
 
+MAX_PARTITIONS = 10**5
+
+
 def enumerate_partitions(omega, n: int):
     """All splits of ``omega`` into ``n`` labeled increasing slots.
 
     Each index is assigned independently to one slot, so the result has
-    exactly n**len(omega) entries.  Order of the result is the product
-    order of those assignments, which keeps outputs reproducible.
+    exactly n**len(omega) entries; more than ``MAX_PARTITIONS`` raises
+    ``ResourceLimitError`` before any is built.  Order of the result is
+    the product order of those assignments, which keeps outputs
+    reproducible.
     """
     if n < 1:
         raise DimensionError("need at least one slot")
     omega = tuple(sorted(omega))
+    count = 1
+    for _ in omega:
+        count *= n
+        if count > MAX_PARTITIONS:
+            raise ResourceLimitError(
+                f"{n}**{len(omega)} partitions exceed the limit of {MAX_PARTITIONS}"
+            )
     out = []
     for assignment in itertools.product(range(n), repeat=len(omega)):
         slots = [[] for _ in range(n)]
@@ -171,11 +185,12 @@ class AdmissiblePoly:
 
     @classmethod
     def _trusted(cls, n: int, omega: tuple, coeffs: dict) -> "AdmissiblePoly":
-        """Polynomial from keys already in normal form; only zeros are dropped."""
+        """Polynomial from keys already in normal form and nonzero
+        coefficients; the map is taken as it is, not checked or copied."""
         f = object.__new__(cls)
         f.n = n
         f.omega = omega
-        f.coeffs = {key: lam for key, lam in coeffs.items() if lam}
+        f.coeffs = coeffs
         return f
 
     def is_zero(self) -> bool:
@@ -240,12 +255,13 @@ class MarkedPoly:
 
     @classmethod
     def _trusted(cls, n: int, omega: tuple, omegabar: tuple, coeffs: dict):
-        """Marked form from keys already in normal form; only zeros are dropped."""
+        """Marked form from keys already in normal form and nonzero
+        coefficients; the map is taken as it is, not checked or copied."""
         g = object.__new__(cls)
         g.n = n
         g.omega = omega
         g.omegabar = omegabar
-        g.coeffs = {key: lam for key, lam in coeffs.items() if lam}
+        g.coeffs = coeffs
         return g
 
     @property
@@ -429,6 +445,102 @@ def marked_form(idx, k: int, omegabar, n: int, omega) -> MarkedPoly:
     return MarkedPoly._trusted(n, tuple(omega), omegabar, coeffs)
 
 
+def group_marker_positions(f: AdmissiblePoly, v: int, omegabar) -> dict:
+    """The marked form of f at X_v, grouped in one pass over f's terms.
+
+    f is read with the labels v and n exchanged, as ``swap_labels`` does.
+    The terms whose top slot (X_v's slot in f) is ``omegabar`` are kept
+    and keyed by (residual word, first n-1 slots): exactly the groups of
+    ``marked_form(reindex_by_position(swap_labels(f, v)), ...)`` by
+    (sigma, parts[:n-1]).  Each group maps to a list of length n+1 whose
+    entry j is the coefficient with the marker at position j (entry 0 is
+    unused, and an absent position holds 0).  A key and a position fix
+    the term, so no entry is written twice, and every entry written is
+    nonzero.
+    """
+    n = f.n
+    top = v - 1
+    groups = {}
+    for (sigma, parts), lam in f.coeffs.items():
+        if parts[top] != omegabar:
+            continue
+        j = sigma.index(v)
+        tau = sigma[:j] + sigma[j + 1 :]
+        if v == n:
+            head = parts[:top]
+        else:
+            m = tau.index(n)
+            tau = tau[:m] + (v,) + tau[m + 1 :]
+            head = parts[:top] + (parts[n - 1],) + parts[v : n - 1]
+        row = groups.get((tau, head))
+        if row is None:
+            row = groups[(tau, head)] = [0] * (n + 1)
+        row[j + 1] = lam
+    return groups
+
+
+def _group_marked(g: MarkedPoly) -> dict:
+    """``group_marker_positions`` for a marked form already built."""
+    groups = {}
+    for (sigma, j, parts), lam in g.coeffs.items():
+        key = (sigma, parts[: g.n - 1])
+        row = groups.get(key)
+        if row is None:
+            row = groups[key] = [0] * (g.n + 1)
+        row[j] = lam
+    return groups
+
+
+def pi_image_size(groups) -> int:
+    """Number of terms ``pi_image`` builds from the groups."""
+    return sum(1 for row in groups.values() if sum(row))
+
+
+def bracket_rewrite_size(groups) -> int:
+    """Number of terms ``bracket_rewrite`` builds from the groups: its
+    keys are distinct across groups and positions, so it is the number of
+    nonzero running sums."""
+    count = 0
+    for row in groups.values():
+        running = 0
+        for lam in row[1:-1]:
+            running += lam
+            if running:
+                count += 1
+    return count
+
+
+def pi_image(groups, n: int, omega) -> AdmissiblePoly:
+    """Image of the grouped marked form with the marker sent to 1: each
+    group's coefficient is its sum over marker positions."""
+    coeffs = {}
+    for key, row in groups.items():
+        total = sum(row)
+        if total:
+            coeffs[key] = total
+    return AdmissiblePoly._trusted(n - 1, omega, coeffs)
+
+
+def bracket_rewrite(groups, n: int, omega) -> AdmissiblePoly:
+    """Admissible form of a grouped marked form whose marker-to-1 image
+    vanishes (see ``marker_into_brackets``); ``omega`` is the next
+    level's commuting set, which holds the marker index n."""
+    coeffs = {}
+    for (sigma, parts), row in groups.items():
+        running = 0
+        for i in range(1, n):
+            running += row[i]
+            if running:
+                slot = sigma[i - 1] - 1
+                slots = parts[:slot] + ((n,) + parts[slot],) + parts[slot + 1 :]
+                coeffs[(sigma, slots)] = running
+        if running + row[n]:
+            raise PreconditionError(
+                "marker elimination requires the marker-to-1 image to vanish"
+            )
+    return AdmissiblePoly._trusted(n - 1, omega, coeffs)
+
+
 def marker_at_one(g: MarkedPoly) -> AdmissiblePoly:
     """Image of the marked polynomial under sending the marker to 1.
 
@@ -436,11 +548,7 @@ def marker_at_one(g: MarkedPoly) -> AdmissiblePoly:
     surviving coefficient is the sum over marker positions.  The result
     may be zero; that is the branch signal for the reduction.
     """
-    coeffs = {}
-    for (sigma, _, parts), lam in g.coeffs.items():
-        key = (sigma, parts[: g.n - 1])
-        coeffs[key] = coeffs.get(key, 0) + lam
-    return AdmissiblePoly._trusted(g.n - 1, g.omega_remaining, coeffs)
+    return pi_image(_group_marked(g), g.n, g.omega_remaining)
 
 
 def marker_into_brackets(g: MarkedPoly) -> AdmissiblePoly:
@@ -457,25 +565,4 @@ def marker_into_brackets(g: MarkedPoly) -> AdmissiblePoly:
     precondition is checked on each group's total instead of by building
     the image again.
     """
-    n = g.n
-    marker = g.marker
-    groups = {}
-    for (sigma, j, parts), lam in g.coeffs.items():
-        groups.setdefault((sigma, parts[: n - 1]), {})[j] = lam
-    coeffs = {}
-    for (sigma, parts), by_pos in groups.items():
-        running = 0
-        for i in range(1, n):
-            running = running + by_pos.get(i, 0)
-            if not running:
-                continue
-            var = sigma[i - 1]
-            slots = list(parts)
-            slots[var - 1] = (marker,) + slots[var - 1]
-            key = (sigma, tuple(slots))
-            coeffs[key] = coeffs.get(key, 0) + running
-        if running + by_pos.get(n, 0):
-            raise PreconditionError(
-                "marker elimination requires the marker-to-1 image to vanish"
-            )
-    return AdmissiblePoly._trusted(n - 1, g.omega_with_marker, coeffs)
+    return bracket_rewrite(_group_marked(g), g.n, g.omega_with_marker)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .construct import ReductionStep
+from .construct import ReductionStep, reference_images
 from .errors import DimensionError
 from .matrices import Matrix, parse_rational
 from .polynomials import AdmissiblePoly, MarkedPoly
@@ -176,17 +176,18 @@ def marked_to_json(g: MarkedPoly) -> dict:
     }
 
 
-def reduction_to_json(step: ReductionStep) -> dict:
+def reduction_to_json(f: AdmissiblePoly, step: ReductionStep) -> dict:
+    """The level ``step`` took from f, with the marked form and its images
+    rebuilt by ``reference_images``."""
+    marked, pi_part, rewritten = reference_images(f, step)
     return {
         "v": step.v,
         "k": step.k,
         "omegabar": list(step.omegabar),
         "branch": step.branch,
-        "g": marked_to_json(step.marked),
-        "pi_of_g": admissible_to_json(step.pi_part),
-        "rewritten": (
-            None if step.rewritten is None else admissible_to_json(step.rewritten)
-        ),
+        "g": marked_to_json(marked),
+        "pi_of_g": admissible_to_json(pi_part),
+        "rewritten": None if rewritten is None else admissible_to_json(rewritten),
     }
 
 

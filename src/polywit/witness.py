@@ -1,6 +1,8 @@
 """Witness assignments: one matrix per noncommuting variable and one per
-commuting variable, all of a common size, with the commuting family's
-pairwise commutation checked exactly at construction time."""
+commuting variable, all of a common size.  The public constructor checks
+the commuting family's pairwise commutation exactly; the construction
+builds its assignments, whose U's commute by construction, through
+``_trusted``."""
 
 from __future__ import annotations
 
@@ -39,6 +41,18 @@ class WitnessAssignment:
                     raise CommutativityError(
                         f"assignments for U{w1} and U{w2} do not commute"
                     )
+
+    @classmethod
+    def _trusted(cls, size: int, x_assign: dict, u_assign: dict):
+        """Assignment built by the construction, whose matrices all have
+        the given size and whose U's commute by construction; nothing is
+        checked, and the maps are taken as they are, not copied."""
+        w = object.__new__(cls)
+        w.size = size
+        w.x_assign = x_assign
+        w.u_assign = u_assign
+        w.trace = []
+        return w
 
     def x(self, i: int) -> Matrix:
         try:

@@ -1,8 +1,11 @@
 """Command line behavior: outputs, exit codes, error mapping."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -10,8 +13,10 @@ import polywit
 from polywit import cli, harness
 from polywit.cli import run
 from polywit.matrices import Matrix
+from polywit.parsing import poly_to_str
 from polywit.randgen import random_trace_zero
 from polywit.serialize import matrix_from_json, matrix_to_json
+from test_construct import _left_normed, _standard
 
 
 @pytest.fixture()
@@ -199,6 +204,23 @@ def test_partitions_rejects_index_past_digit_limit(capsys):
     assert "value has 5000 digits" in capsys.readouterr().err
 
 
+def test_partitions_refuses_more_than_the_limit(capsys):
+    # 10**30 slot assignments: refused before any is built.
+    omega = ",".join(map(str, range(11, 41)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = run(["partitions", "--n", "10", "--omega", omega])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "10**30 partitions exceed the limit" in capsys.readouterr().err
+    assert elapsed < 1
+    assert peak < 1 << 20
+
+
 def test_word_expansion_is_not_shipped(tmp_path, capsys):
     path = tmp_path / "adm.json"
     path.write_text(
@@ -234,6 +256,22 @@ def test_reduce_shows_the_chosen_variable(capsys):
         {"sigma": [1, 2, 3], "parts": [[], [], []], "coeff": "1"},
         {"sigma": [3, 1, 2], "parts": [[], [], []], "coeff": "-1"},
     ]
+
+
+@pytest.mark.parametrize(
+    "f,size,digest",
+    [
+        (_standard(4), 7235, "c16617030ffdde1f8e5d556f8f770742e4bc8434780ae77a7a93350560371a60"),
+        (_left_normed(4), 3225, "9e2ea54c00d08352c16ae63c92ceb7d13aa87307684998b4465a4c8029cabdeb"),
+    ],
+    ids=["s_4", "lie_4"],
+)
+def test_reduce_output_is_pinned(f, size, digest, capsys):
+    # The SHA-256 of the output when reduce_step still kept the marked
+    # form and both images: the rebuilt display matches it byte for byte.
+    assert run(["reduce", "--poly-str", poly_to_str(f)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 def test_reduce_rejects_zero_and_unary(capsys):

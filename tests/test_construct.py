@@ -3,6 +3,7 @@
 import itertools
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from polywit.construct import (
     hollow_similarity,
     lift_witness,
     reduce_step,
+    reference_images,
     shift_bracket_closed_form,
     size_bound,
     witness_for_multilinear,
@@ -45,6 +47,7 @@ from polywit.polynomials import (
     merge_position_index,
     min_k_and_omegabar,
     reindex_by_position,
+    swap_labels,
 )
 from polywit.randgen import (
     random_admissible,
@@ -304,16 +307,18 @@ def test_reduce_step_pi_branch():
     step = reduce_step(f)
     assert step.branch == BRANCH_PI
     assert step.k == 0 and step.omegabar == ()
-    assert step.pi_part == AdmissiblePoly(1, (), {((1,), ((),)): 1})
-    assert step.rewritten is None
+    _, pi_part, rewritten = reference_images(f, step)
+    assert step.reduced == pi_part == AdmissiblePoly(1, (), {((1,), ((),)): 1})
+    assert rewritten is None
 
 
 def test_reduce_step_rewrite_branch():
     f = from_multilinear(MultilinearPoly(2, {(1, 2): 1, (2, 1): -1}))
     step = reduce_step(f)
     assert step.branch == BRANCH_REWRITE
-    assert step.pi_part.is_zero()
-    assert step.rewritten == AdmissiblePoly(1, (2,), {((1,), ((2,),)): -1})
+    _, pi_part, rewritten = reference_images(f, step)
+    assert pi_part.is_zero()
+    assert step.reduced == rewritten == AdmissiblePoly(1, (2,), {((1,), ((2,),)): -1})
 
 
 def test_reduce_step_rejects_degenerate_inputs():
@@ -329,7 +334,8 @@ _REDUCTION_SHAPES = [(2, ()), (3, ()), (4, ()), (2, (3,)), (2, (3, 4)), (3, (4,)
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, len(_REDUCTION_SHAPES) - 1), st.integers(0, 10 ** 6))
 def test_trusted_constructors_match_checked(shape, seed):
-    """Every polynomial the reduction builds without validation passes it."""
+    """Every polynomial the reduction and ``reference_images`` build
+    without validation passes it."""
     n, omega = _REDUCTION_SHAPES[shape]
     starts = [random_admissible(n, omega, density=0.5, seed=seed)]
     if not omega:
@@ -338,8 +344,9 @@ def test_trusted_constructors_match_checked(shape, seed):
     for f in starts:
         while f.n > 1:
             step = reduce_step(f)
-            f = step.pi_part if step.branch == BRANCH_PI else step.rewritten
-            built += [step.marked, step.pi_part, f]
+            built += [p for p in reference_images(f, step) if p is not None]
+            f = step.reduced
+            built.append(f)
     for p in built:
         if isinstance(p, MarkedPoly):
             checked = MarkedPoly(p.n, p.omega, p.omegabar, p.coeffs)
@@ -347,6 +354,85 @@ def test_trusted_constructors_match_checked(shape, seed):
             checked = AdmissiblePoly(p.n, p.omega, p.coeffs)
         assert p == checked
         assert all(type(lam) is Fraction and lam for lam in p.coeffs.values())
+
+
+def _reference_step(f: AdmissiblePoly):
+    """(v, k, omegabar, branch, next level) by reduce_step's rule, with
+    every candidate built in full by the reference helpers."""
+    candidates = []
+    for v in range(f.n, 0, -1):
+        idx = reindex_by_position(swap_labels(f, v))
+        k, omegabar = min_k_and_omegabar(idx, f.n)
+        marked = marked_form(idx, k, omegabar, f.n, f.omega)
+        image = marker_at_one(marked)
+        if image.is_zero():
+            candidates.append((v, k, omegabar, BRANCH_REWRITE, marker_into_brackets(marked)))
+        else:
+            candidates.append((v, k, omegabar, BRANCH_PI, image))
+    k = min(c[1] for c in candidates)
+    candidates = [c for c in candidates if c[1] == k]
+    for c in candidates:
+        if len(c[4].coeffs) <= len(f.coeffs):
+            return c
+    # min keeps the first of equal keys, so a tie goes to the larger v
+    return min(candidates, key=lambda c: len(c[4].coeffs))
+
+
+# Sparse inputs give the variables different k_v and make candidates
+# other than v = n win, with X_v's and X_n's slots both nonempty.
+_ORACLE_SHAPES = _REDUCTION_SHAPES + [(3, (4, 5)), (4, (5, 6))]
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.integers(0, len(_ORACLE_SHAPES) - 1),
+    st.integers(0, 10 ** 6),
+    st.booleans(),
+    st.sampled_from([0.5, 0.1, 0.03]),
+)
+def test_reduce_step_matches_reference_helpers(shape, seed, multilinear, density):
+    """The grouping pass, the counts and the build agree with the marked
+    form and its images built by the reference helpers, on every level of
+    the chain."""
+    n, omega = _ORACLE_SHAPES[shape]
+    if multilinear and not omega:
+        f = from_multilinear(random_multilinear(n, density, seed))
+    else:
+        f = random_admissible(n, omega, density=density, seed=seed)
+    assume(not f.is_zero())
+    while f.n > 1:
+        step = reduce_step(f)
+        v, k, omegabar, branch, reduced = _reference_step(f)
+        assert (step.v, step.k, step.omegabar, step.branch) == (v, k, omegabar, branch)
+        assert step.reduced == reduced
+        f = step.reduced
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 10 ** 6), st.booleans())
+def test_internal_assignments_pass_the_public_constructor(n, d, seed, bracket):
+    """The recursion builds its assignments unchecked; each one, the
+    base case's, the pi branch's and every lift's, passes the checked
+    constructor, and the final witness verifies."""
+    make = random_bracket if bracket else random_multilinear
+    f = make(n, density=0.6, seed=seed)
+    a = random_trace_zero(d, seed=seed + 1)
+    built = []
+    trusted = WitnessAssignment._trusted.__func__
+
+    def recording(cls, size, x_assign, u_assign):
+        w = trusted(cls, size, x_assign, u_assign)
+        built.append(w)
+        return w
+
+    with mock.patch.object(WitnessAssignment, "_trusted", classmethod(recording)):
+        s, w = witness_for_multilinear(f, a)
+    assert built[-1] is w
+    assert len(built) >= n
+    for internal in built:
+        checked = WitnessAssignment(internal.size, internal.x_assign, internal.u_assign)
+        assert checked == internal
+    assert verify(f, w, a)
 
 
 # ---------------------------------------------------------------- recursion
@@ -465,9 +551,8 @@ def test_reduction_runs_on_int_coefficients(monkeypatch, f):
 
     def recording(g):
         step = reduce_step(g)
-        polys.extend([g, step.marked, step.pi_part])
-        if step.rewritten is not None:
-            polys.append(step.rewritten)
+        polys.extend([g, step.reduced])
+        polys.extend(p for p in reference_images(g, step) if p is not None)
         return step
 
     monkeypatch.setattr(construct, "reduce_step", recording)
@@ -530,7 +615,7 @@ def test_lie_4_eliminates_x3_first():
     f = _left_normed(4)
     step = reduce_step(from_multilinear(f))
     assert (step.v, step.k, step.branch) == (3, 0, BRANCH_REWRITE)
-    assert len(step.rewritten.coeffs) == 8
+    assert len(step.reduced.coeffs) == 8
     a = random_trace_zero(3, seed=7)
     s, w = witness_for_multilinear(f, a)
     assert s == 4
@@ -553,11 +638,20 @@ def test_swap_back_after_eliminating_x3():
     assert not verify(f, WitnessAssignment(s, x, w.u_assign), a)
 
 
-def test_lie_10_chain_never_grows():
+def test_lie_10_chain_never_grows(monkeypatch):
+    # Candidates are counted, not built: each level builds one next level.
+    built = []
+    for name in ("pi_image", "bracket_rewrite"):
+        def counting(*args, _build=getattr(construct, name)):
+            built.append(args[1])
+            return _build(*args)
+
+        monkeypatch.setattr(construct, name, counting)
     g = from_multilinear(_left_normed(10))
     while g.n > 1:
         g = reduce_step(g).reduced
         assert len(g.coeffs) <= 512
+    assert built == list(range(10, 1, -1))
 
 
 # Two sparse n=6 polynomials that reach k >= 1 when X_n is always

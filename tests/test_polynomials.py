@@ -10,22 +10,28 @@ from polywit.errors import (
     DimensionError,
     EmptyPolynomialError,
     PreconditionError,
+    ResourceLimitError,
 )
 from polywit.matrices import Matrix
 from polywit.polynomials import (
+    MAX_PARTITIONS,
     AdmissiblePoly,
     MarkedPoly,
     MultilinearPoly,
+    _group_marked,
     all_permutations,
+    bracket_rewrite_size,
     enumerate_partitions,
     evaluate,
     from_multilinear,
+    group_marker_positions,
     insert_symbol,
     marked_form,
     marker_at_one,
     marker_into_brackets,
     merge_position_index,
     min_k_and_omegabar,
+    pi_image_size,
     reindex_by_position,
     swap_labels,
 )
@@ -78,6 +84,12 @@ def test_partition_count_and_cover(n, omega):
         assert merged == sorted(omega)
         for p in parts:
             assert list(p) == sorted(set(p))
+
+
+def test_partitions_past_the_limit_are_refused():
+    assert len(enumerate_partitions(range(3, 19), 2)) == 2 ** 16 <= MAX_PARTITIONS
+    with pytest.raises(ResourceLimitError):
+        enumerate_partitions(range(3, 20), 2)
 
 
 def test_partition_order_is_reproducible():
@@ -417,3 +429,24 @@ def test_swap_labels_exchanges_the_variables(n, m, seed, data):
     x = dict(w.x_assign)
     x[v], x[n] = x[n], x[v]
     assert evaluate(g, w) == evaluate(f, WitnessAssignment(2, x, w.u_assign))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 10 ** 6), st.sampled_from([0.5, 0.1]))
+def test_grouping_pass_matches_the_marked_form_for_every_variable(n, m, seed, density):
+    """For each v, the one-pass grouping of f equals the grouped marked
+    form of swap_labels(f, v), and the counts equal the sizes of the
+    images built from that marked form."""
+    omega = tuple(range(n + 1, n + 1 + m))
+    f = random_admissible(n, omega, density=density, seed=seed)
+    for v in range(1, n + 1):
+        idx = reindex_by_position(swap_labels(f, v))
+        k, omegabar = min_k_and_omegabar(idx, n)
+        marked = marked_form(idx, k, omegabar, n, omega)
+        groups = group_marker_positions(f, v, omegabar)
+        assert groups == _group_marked(marked)
+        assert sum(lam != 0 for row in groups.values() for lam in row) == len(marked.coeffs)
+        image = marker_at_one(marked)
+        assert pi_image_size(groups) == len(image.coeffs)
+        if image.is_zero():
+            assert bracket_rewrite_size(groups) == len(marker_into_brackets(marked).coeffs)

@@ -12,6 +12,8 @@ from polywit.polynomials import (
     MultilinearPoly,
     enumerate_partitions,
     from_multilinear,
+    marked_form,
+    reindex_by_position,
 )
 from polywit.randgen import random_admissible, random_trace_zero
 from polywit.serialize import (
@@ -167,14 +169,14 @@ def test_admissible_round_trip():
 def test_reduction_to_json_shape():
     f = from_multilinear(MultilinearPoly(2, {(1, 2): 1, (2, 1): -1}))
     step = reduce_step(f)
-    doc = reduction_to_json(step)
+    doc = reduction_to_json(f, step)
     assert doc["branch"] == "rewrite"
     assert doc["k"] == 0 and doc["omegabar"] == []
     assert doc["pi_of_g"] == []
     assert doc["rewritten"] == [
         {"sigma": [1], "parts": [[2]], "coeff": "-1"}
     ]
-    assert doc["g"] == marked_to_json(step.marked)
+    assert doc["g"] == marked_to_json(marked_form(reindex_by_position(f), 0, (), 2, ()))
     assert len(doc["g"]["terms"]) == 2
 
 
