@@ -171,7 +171,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", metavar="FILE", required=True)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("hollow", help="conjugate a trace-zero matrix hollow")
+    p = sub.add_parser(
+        "hollow",
+        help="conjugate a trace-zero matrix hollow at its own size: h = p*a*p_inv",
+    )
     p.add_argument("--matrix", metavar="FILE", required=True)
     p.set_defaults(handler=_cmd_hollow)
 

@@ -72,30 +72,34 @@ def _transvect(h, p, p_inv, i: int, j: int, t: Fraction) -> None:
 
 
 def hollow_similarity(a: Matrix):
-    """Conjugator into zero-diagonal form, one size up.
+    """Conjugator into zero-diagonal form at the matrix's own size.
 
-    Returns (p, p_inv, h) with h = p * embed(a, d+1) * p_inv and
-    diag(h) = 0.  This is Fillmore's sweep by transvections I + t*e_ij
-    (P. A. Fillmore, "On similarity and the diagonal of a matrix", Amer.
-    Math. Monthly 76, 1969), starting from h = embed(a, d+1).  Row by
-    row, for each i but the last with h_ii != 0, the pivot is the j > i
-    with h_ji != 0 whose ratio t = -h_ii/h_ji has the least ``height``
-    (the smallest such j on a tie); conjugating by I + t*e_ij zeroes
-    h_ii and changes no other diagonal entry but h_jj.  If column i is
-    zero below the diagonal, h is first conjugated by I + t*e_ji for the
-    first j > i with h_jj != h_ii, with t = 2 when h_ii - h_jj = h_ij and
-    t = 1 otherwise, which makes h_ji nonzero.  Such a j exists: the
-    diagonal before i is already zero, so h_ii and the entries after it
-    sum to the trace, 0, and cannot all equal h_ii.  Each conjugation is
-    one row and one column operation, and p and p_inv are carried along,
-    so nothing is multiplied or inverted.  Every t is a ratio of entries
-    of h and every branch compares entries of h, so scaling a leaves p
-    and p_inv unchanged and scales h alike.
+    Returns (p, p_inv, h) with h = p * a * p_inv and diag(h) = 0.  Over
+    Q every non-scalar matrix is similar to one with any prescribed
+    diagonal of the same trace, and the only trace-zero scalar matrix is
+    0, which is already hollow, so no padding is needed.  This is
+    Fillmore's sweep by transvections I + t*e_ij (P. A. Fillmore, "On
+    similarity and the diagonal of a matrix", Amer. Math. Monthly 76,
+    1969), starting from h = a.  Row by row, for each i but the last
+    with h_ii != 0, the pivot is the j > i with h_ji != 0 whose ratio
+    t = -h_ii/h_ji has the least ``height`` (the smallest such j on a
+    tie); conjugating by I + t*e_ij zeroes h_ii and changes no other
+    diagonal entry but h_jj.  If column i is zero below the diagonal, h
+    is first conjugated by I + t*e_ji for the first j > i with
+    h_jj != h_ii, with t = 2 when h_ii - h_jj = h_ij and t = 1
+    otherwise, which makes h_ji nonzero.  Such a j exists: the diagonal
+    before i is already zero, so h_ii and the entries after it sum to
+    the trace, 0, and cannot all equal h_ii.  The last diagonal entry is
+    then the trace, 0.  Each conjugation is one row and one column
+    operation, and p and p_inv are carried along, so nothing is
+    multiplied or inverted.  Every t is a ratio of entries of h and
+    every branch compares entries of h, so scaling a leaves p and p_inv
+    unchanged and scales h alike.
     """
     if a.trace():
         raise PreconditionError(f"hollow form needs trace zero, got trace {a.trace()}")
-    n = a.size + 1
-    h = [list(row) for row in embed(a, n).rows]
+    n = a.size
+    h = [list(row) for row in a.rows]
     p = [list(row) for row in Matrix.identity(n).rows]
     p_inv = [list(row) for row in p]
     for i in range(n - 1):
@@ -121,10 +125,10 @@ def base_case_witness(lam, omegas, a: Matrix) -> WitnessAssignment:
     """Witness for a single scaled iterated-commutator variable.
 
     With no commuting indices the witness is just the rescaled target at
-    size d.  Otherwise the target is conjugated hollow at size d+1, the
-    commuting variables all receive one diagonal matrix with distinct
-    entries 0..d, and the variable matrix divides each off-diagonal
-    entry by the appropriate power of the diagonal gap.
+    size d.  Otherwise the target is conjugated hollow, also at size d,
+    the commuting variables all receive one diagonal matrix with
+    distinct entries 0..d-1, and the variable matrix divides each
+    off-diagonal entry by the appropriate power of the diagonal gap.
     """
     lam = as_rational(lam)
     if not lam:
@@ -140,16 +144,15 @@ def base_case_witness(lam, omegas, a: Matrix) -> WitnessAssignment:
     if m == 0:
         return WitnessAssignment._trusted(d, {1: a.scale(inv_lam)}, {})
     p, pinv, h = hollow_similarity(a)
-    s = d + 1
-    u = Matrix.diagonal(range(s))
+    u = Matrix.diagonal(range(d))
     rows = [
-        [h.rows[i][j] / (i - j) ** m if i != j else Fraction(0) for j in range(s)]
-        for i in range(s)
+        [h.rows[i][j] / (i - j) ** m if i != j else Fraction(0) for j in range(d)]
+        for i in range(d)
     ]
     x = Matrix._trusted(rows)
     x1 = (pinv * x * p).scale(inv_lam)
     uu = pinv * u * p
-    return WitnessAssignment._trusted(s, {1: x1}, {om: uu for om in omegas})
+    return WitnessAssignment._trusted(d, {1: x1}, {om: uu for om in omegas})
 
 
 # ------------------------------------------------------------- closed form
@@ -362,8 +365,8 @@ def construct_witness(f: AdmissiblePoly, a: Matrix) -> WitnessAssignment:
 
 
 def size_bound(d: int, trace) -> int:
-    """Observed ceiling (d+1) times the product of the block growths."""
-    bound = d + 1
+    """Exact witness size: d times the product of the block growths k+1."""
+    bound = d
     for entry in trace:
         bound *= entry["k"] + 1
     return bound
@@ -397,9 +400,9 @@ def witness_for_multilinear(f: MultilinearPoly, a: Matrix):
         },
     )
     w = construct_witness(g, a.scale(scale))
-    if w.size > size_bound(a.size, w.trace):
+    if w.size != size_bound(a.size, w.trace):
         raise InternalInvariantError(
-            f"witness size {w.size} exceeds the growth bound "
+            f"witness size {w.size} differs from the size formula "
             f"{size_bound(a.size, w.trace)}"
         )
     return w.size, w

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .construct import ReductionStep, reference_images
+from .construct import BRANCH_PI, BRANCH_REWRITE, ReductionStep, reference_images
 from .errors import DimensionError
 from .matrices import Matrix, parse_rational
 from .polynomials import AdmissiblePoly, MarkedPoly
@@ -110,13 +110,21 @@ def _clean_trace(raw) -> list:
             raise DimensionError(
                 "trace steps need exactly the keys k, omegabar, branch"
             )
-        steps.append(
-            {
-                "k": _int(entry["k"], "trace k"),
-                "omegabar": _int_list(entry["omegabar"], "trace omegabar"),
-                "branch": str(entry["branch"]),
-            }
-        )
+        k = _int(entry["k"], "trace k")
+        omegabar = _int_list(entry["omegabar"], "trace omegabar")
+        branch = entry["branch"]
+        if k < 0:
+            raise DimensionError(f"trace k must be nonnegative, got {k}")
+        if len(omegabar) != k or any(x >= y for x, y in zip(omegabar, omegabar[1:])):
+            raise DimensionError(
+                f"trace omegabar {omegabar} must be {k} strictly increasing indices"
+            )
+        if not isinstance(branch, str) or branch not in (BRANCH_PI, BRANCH_REWRITE):
+            raise DimensionError(
+                f"trace branch must be {BRANCH_PI!r} or {BRANCH_REWRITE!r}, "
+                f"got {branch!r}"
+            )
+        steps.append({"k": k, "omegabar": omegabar, "branch": branch})
     return steps
 
 

@@ -114,7 +114,7 @@ def test_criterion_standard_polynomial_lift(n, d):
     levels = [(e["k"], tuple(e["omegabar"]), e["branch"]) for e in w.trace]
     ok = (
         verify(_standard(n), w, a)
-        and s <= size_bound(d, w.trace)
+        and s == size_bound(d, w.trace)
         and all((1, (slot,), "pi") in levels for slot in _STANDARD_LIFTS[n])
     )
     _report(f"s_{n} at d={d}: verified through the k=1 lift", ok, f"s={s}")
@@ -125,11 +125,11 @@ def test_criterion_commutator_walkthrough():
     a = Matrix.unit(2, 1, 2)
     s, w = witness_for_multilinear(f, a)
     ok = (
-        s == 3
+        s == 2
         and verify(f, w, a)
         and w.trace == [{"k": 0, "omegabar": [], "branch": "rewrite"}]
     )
-    _report("commutator walkthrough: s=3, one rewrite step with k=0", ok)
+    _report("commutator walkthrough: s=2, one rewrite step with k=0", ok)
 
 
 def test_criterion_shift_bracket_closed_form():
@@ -159,7 +159,7 @@ def test_criterion_hollow_property():
         p, p_inv, h = hollow_similarity(a)
         if (
             not h.has_zero_diagonal()
-            or h != p * embed(a, d + 1) * p_inv
+            or h != p * a * p_inv
             or p_inv != inverse(p)
         ):
             ok = False
@@ -263,10 +263,10 @@ def test_criterion_reduction_soundness():
         except InternalInvariantError:
             ok = False
             continue
-        if not verify(f, w, a) or s > size_bound(d, w.trace):
+        if not verify(f, w, a) or s != size_bound(d, w.trace):
             ok = False
     _report(
-        "reduction soundness: no both-zero violation, size within bound, "
+        "reduction soundness: no both-zero violation, size exactly the bound, "
         "200 cases",
         ok,
     )

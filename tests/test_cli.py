@@ -42,10 +42,10 @@ def test_witness_writes_verified_document(target_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["s"] == 3 and doc["verified"] is True
+    assert doc["s"] == 2 and doc["verified"] is True
     report = json.loads(captured.err.strip().splitlines()[-1])
     assert report["poly"] == "X1*X2 - X2*X1"
-    assert report["d"] == 2 and report["s"] == 3
+    assert report["d"] == 2 and report["s"] == 2
     assert report["verified"] is True
     assert report["field"] == "rationals"
     assert report["wall_time"] >= 0
@@ -155,6 +155,39 @@ def test_verify_noncommuting_witness_fails(target_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_rejects_bad_trace_step(target_file, tmp_path, capsys):
+    out = tmp_path / "wit.json"
+    run(
+        [
+            "witness",
+            "--poly-str",
+            "X1*X2 - X2*X1",
+            "--target",
+            target_file,
+            "--out",
+            str(out),
+        ]
+    )
+    doc = json.loads(out.read_text())
+    doc["trace"] = [{"k": -3, "omegabar": [9, 9, 2], "branch": 7}]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(
+        [
+            "verify",
+            "--poly-str",
+            "X1*X2 - X2*X1",
+            "--witness",
+            str(out),
+            "--target",
+            target_file,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "trace k must be nonnegative" in captured.err
+
+
 def test_hollow_command(target_file, capsys):
     code = run(["hollow", "--matrix", target_file])
     captured = capsys.readouterr()
@@ -164,7 +197,9 @@ def test_hollow_command(target_file, capsys):
     h = doc["h"]["rows"]
     assert all(h[i][i] == "0" for i in range(len(h)))
     p, p_inv = matrix_from_json(doc["p"]), matrix_from_json(doc["p_inv"])
-    assert p * p_inv == Matrix.identity(len(h))
+    assert len(h) == 2
+    assert p * p_inv == Matrix.identity(2)
+    assert matrix_from_json(doc["h"]) == p * Matrix([[0, 1], [0, 0]]) * p_inv
 
 
 def test_hollow_rejects_nonzero_trace(tmp_path, capsys):

@@ -68,10 +68,10 @@ def test_hollow_nilpotent_hand_trace():
     # e_12 is already hollow, so the sweep does nothing.
     a = Matrix.unit(2, 1, 2)
     p, p_inv, h = hollow_similarity(a)
-    assert p == Matrix.identity(3)
-    assert p_inv == Matrix.identity(3)
-    assert h == Matrix.unit(3, 1, 2)
-    assert h == p * embed(a, 3) * inverse(p)
+    assert p == Matrix.identity(2)
+    assert p_inv == Matrix.identity(2)
+    assert h == Matrix.unit(2, 1, 2)
+    assert h == p * a * inverse(p)
 
 
 def test_hollow_diagonal_hand_trace():
@@ -81,10 +81,24 @@ def test_hollow_diagonal_hand_trace():
     a = Matrix.diagonal([1, -1])
     p, p_inv, h = hollow_similarity(a)
     half = Fraction(1, 2)
-    assert p == Matrix([[half, -half, 0], [1, 1, 0], [0, 0, 1]])
-    assert p_inv == Matrix([[1, half, 0], [-1, half, 0], [0, 0, 1]])
-    assert h == Matrix([[0, half, 0], [2, 0, 0], [0, 0, 0]])
+    assert p == Matrix([[half, -half], [1, 1]])
+    assert p_inv == Matrix([[1, half], [-1, half]])
+    assert h == Matrix([[0, half], [2, 0]])
     assert h.has_zero_diagonal()
+
+
+def test_hollow_diagonal_pre_conjugates_twice():
+    # diag(2, -1, -1): column 1 is zero below the diagonal, so I + e_21
+    # (t = 1: 2 - (-1) = 3 != h_12 = 0) makes h_21 = 3, and I - 2/3 e_12
+    # zeroes h_11 but leaves h_22 = 1 over a zero h_32.  So I + e_32
+    # (t = 1: 1 - (-1) = 2 != h_23 = 0) makes h_32 = 2, and I - 1/2 e_23
+    # zeroes h_22; h_33 is then the trace, 0.  No fourth index is needed.
+    a = Matrix.diagonal([2, -1, -1])
+    p, p_inv, h = hollow_similarity(a)
+    assert p == Matrix([["1/3", "-2/3", 0], ["1/2", "1/2", "-1/2"], [1, 1, 1]])
+    assert p_inv == Matrix([[1, "2/3", "1/3"], [-1, "1/3", "1/6"], [0, -1, "1/2"]])
+    assert h == Matrix([[0, "2/3", "1/3"], ["3/2", 0, "1/2"], [3, 2, 0]])
+    assert h == p * a * p_inv
 
 
 @pytest.mark.parametrize(
@@ -95,17 +109,17 @@ def test_hollow_diagonal_hand_trace():
         (
             [[1, 1], [0, -1]],
             1,
-            [[1, 0, 0], [1, 1, 0], [0, 0, 1]],
-            [[1, 0, 0], [-1, 1, 0], [0, 0, 1]],
-            [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+            [[1, 0], [1, 1]],
+            [[1, 0], [-1, 1]],
+            [[0, 1], [1, 0]],
         ),
         # h_11 - h_22 = 2 = h_12: t = 1 would leave h_21 = 0, so t = 2.
         (
             [[1, 2], [0, -1]],
             2,
-            [["-1/2", "-3/4", 0], [2, 1, 0], [0, 0, 1]],
-            [[1, "3/4", 0], [-2, "-1/2", 0], [0, 0, 1]],
-            [[0, "-1/4", 0], [-4, 0, 0], [0, 0, 0]],
+            [["-1/2", "-3/4"], [2, 1]],
+            [[1, "3/4"], [-2, "-1/2"]],
+            [[0, "-1/4"], [-4, 0]],
         ),
     ],
 )
@@ -113,19 +127,19 @@ def test_hollow_pre_conjugation_branches(rows, t, p, p_inv, h):
     a = Matrix(rows)
     got_p, got_p_inv, got_h = hollow_similarity(a)
     # The first transvection is I + t*e_21 and later ones add to row 1
-    # only, so row 2 of p is (t, 1, 0).
-    assert got_p.rows[1] == (t, 1, 0)
+    # only, so row 2 of p is (t, 1).
+    assert got_p.rows[1] == (t, 1)
     assert (got_p, got_p_inv, got_h) == (Matrix(p), Matrix(p_inv), Matrix(h))
-    assert got_h == got_p * embed(a, 3) * got_p_inv
+    assert got_h == got_p * a * got_p_inv
 
 
 @pytest.mark.parametrize(
     "rows, first_row",
     [
         # t = -2 for both j = 2 and j = 3: the tie goes to j = 2.
-        ([[2, 0, 0], [1, -1, 0], [1, 0, -1]], (1, -2, 0, 0)),
+        ([[2, 0, 0], [1, -1, 0], [1, 0, -1]], (1, -2, 0)),
         # t = -2/5 for j = 2 and t = -2 for j = 3: the shorter ratio wins.
-        ([[2, 0, 0], [5, -1, 0], [1, 0, -1]], (1, 0, -2, 0)),
+        ([[2, 0, 0], [5, -1, 0], [1, 0, -1]], (1, 0, -2)),
     ],
 )
 def test_hollow_pivot_has_least_height(rows, first_row):
@@ -134,14 +148,14 @@ def test_hollow_pivot_has_least_height(rows, first_row):
     # Only the first transvection, I + t*e_1j, writes to row 1 of p.
     assert p.rows[0] == first_row
     assert h.has_zero_diagonal()
-    assert h == p * embed(a, 4) * p_inv
+    assert h == p * a * p_inv
 
 
 def test_hollow_zero_matrix():
     for d in (1, 2, 3):
         p, p_inv, h = hollow_similarity(Matrix.zeros(d))
-        assert p == Matrix.identity(d + 1)
-        assert p_inv == Matrix.identity(d + 1)
+        assert p == Matrix.identity(d)
+        assert p_inv == Matrix.identity(d)
         assert h.is_zero()
 
 
@@ -156,10 +170,11 @@ def test_hollow_rejects_nonzero_trace():
 def test_hollow_property(d, seed):
     a = random_trace_zero(d, seed)
     p, p_inv, h = hollow_similarity(a)
+    assert p.size == p_inv.size == h.size == d
     assert h.has_zero_diagonal()
-    assert p * p_inv == Matrix.identity(d + 1)
+    assert p * p_inv == Matrix.identity(d)
     assert p_inv == inverse(p)
-    assert h == p * embed(a, d + 1) * p_inv
+    assert h == p * a * p_inv
 
 
 @settings(deadline=None, max_examples=25)
@@ -206,9 +221,9 @@ def test_base_case_with_brackets():
     lam = Fraction(-3, 2)
     for omegas in ((5,), (4, 7)):
         w = base_case_witness(lam, omegas, a)
-        assert w.size == 3
+        assert w.size == 2
         f = AdmissiblePoly(1, omegas, {((1,), (omegas,)): lam})
-        assert evaluate(f, w) == embed(a, 3)
+        assert evaluate(f, w) == embed(a, 2)
         us = [w.u(o) for o in omegas]
         assert all(u == us[0] for u in us)
 
@@ -442,10 +457,10 @@ def test_construct_commutator_hand_trace():
     f = MultilinearPoly(2, {(1, 2): 1, (2, 1): -1})
     a = Matrix.unit(2, 1, 2)
     s, w = witness_for_multilinear(f, a)
-    assert s == 3
+    assert s == 2
     assert w.trace == [{"k": 0, "omegabar": [], "branch": "rewrite"}]
-    assert w.x(1) == Matrix.unit(3, 1, 2)
-    assert w.x(2) == Matrix.diagonal([0, 1, 2])
+    assert w.x(1) == Matrix.unit(2, 1, 2)
+    assert w.x(2) == Matrix.diagonal([0, 1])
     assert verify(f, w, a)
 
 
@@ -470,7 +485,7 @@ def test_construct_alternating_cubic():
     a = random_trace_zero(3, seed=11)
     s, w = witness_for_multilinear(f, a)
     assert [t["branch"] for t in w.trace] == [BRANCH_PI, BRANCH_REWRITE]
-    assert s == 4
+    assert s == 3
     assert verify(f, w, a)
 
 
@@ -487,8 +502,8 @@ def test_construct_rejects_zero_polynomial():
 
 
 def test_size_bound():
-    assert size_bound(2, []) == 3
-    assert size_bound(2, [{"k": 1}, {"k": 0}]) == 6
+    assert size_bound(2, []) == 2
+    assert size_bound(2, [{"k": 1}, {"k": 0}]) == 4
 
 
 @settings(deadline=None, max_examples=40)
@@ -498,7 +513,53 @@ def test_construct_random_property(n, d, seed):
     a = random_trace_zero(d, seed=seed + 1)
     s, w = witness_for_multilinear(f, a)
     assert verify(f, w, a)
-    assert s <= size_bound(d, w.trace)
+    assert s == size_bound(d, w.trace)
+
+
+def _base_commuting_count(kind, n, d, seed, zero):
+    """Build and check a witness at the exact size d * prod(k+1); return
+    how many commuting indices the base case peeled off."""
+    if kind == "bracket" and n > 1:
+        f = random_bracket(n, density=0.7, seed=seed)
+    else:
+        f = random_multilinear(n, density=0.7, seed=seed)
+    a = Matrix.zeros(d) if zero else random_trace_zero(d, seed=seed + 1)
+    with mock.patch.object(
+        construct, "base_case_witness", wraps=base_case_witness
+    ) as base:
+        s, w = witness_for_multilinear(f, a)
+    assert verify(f, w, a)
+    assert s == w.size == size_bound(d, w.trace)
+    return len(base.call_args.args[1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["multilinear", "bracket"]),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.integers(0, 10 ** 6),
+    st.booleans(),
+)
+def test_witness_has_exact_size(kind, n, d, seed, zero):
+    _base_commuting_count(kind, n, d, seed, zero)
+
+
+@pytest.mark.parametrize(
+    "kind, n, d, zero, commuting",
+    [
+        ("multilinear", 1, 1, False, 0),
+        ("multilinear", 3, 4, False, 0),
+        ("bracket", 2, 1, False, 1),
+        ("bracket", 4, 5, False, 3),
+        ("bracket", 3, 3, True, 2),
+        ("multilinear", 2, 3, True, 0),
+    ],
+)
+def test_exact_size_reaches_both_base_branches(kind, n, d, zero, commuting):
+    # Brackets reach the base case with commuting indices (the hollow
+    # branch), dense polynomials without (the rescaled target).
+    assert _base_commuting_count(kind, n, d, 0, zero) == commuting
 
 
 def _standard(n: int) -> MultilinearPoly:
@@ -584,8 +645,7 @@ def _fixed_order(f: MultilinearPoly, d: int):
             g, branch = image, BRANCH_PI
         s *= k + 1
         levels.append((k, branch))
-    ((_, parts),) = g.coeffs
-    return s * (d + 1 if parts[0] else d), levels
+    return s * d, levels
 
 
 _SPARSE_WORDS = st.integers(2, 6).flatmap(
@@ -618,7 +678,7 @@ def test_lie_4_eliminates_x3_first():
     assert len(step.reduced.coeffs) == 8
     a = random_trace_zero(3, seed=7)
     s, w = witness_for_multilinear(f, a)
-    assert s == 4
+    assert s == 3
     assert verify(f, w, a)
 
 
@@ -671,10 +731,10 @@ _SPARSE_N6 = {
 @pytest.mark.parametrize(
     "name,d,size,fixed_size,fixed_last",
     [
-        ("rewrite_k1", 2, 3, 6, (1, BRANCH_REWRITE)),
-        ("rewrite_k1", 3, 4, 8, (1, BRANCH_REWRITE)),
-        ("pi_k2", 2, 3, 6, (2, BRANCH_PI)),
-        ("pi_k2", 3, 4, 9, (2, BRANCH_PI)),
+        ("rewrite_k1", 2, 2, 4, (1, BRANCH_REWRITE)),
+        ("rewrite_k1", 3, 3, 6, (1, BRANCH_REWRITE)),
+        ("pi_k2", 2, 2, 6, (2, BRANCH_PI)),
+        ("pi_k2", 3, 3, 9, (2, BRANCH_PI)),
     ],
 )
 def test_sparse_n6_polynomials_stay_at_k0(name, d, size, fixed_size, fixed_last):

@@ -124,6 +124,39 @@ def test_witness_rejects_bad_types(changes):
         witness_from_json(_small_witness_doc(**changes))
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        {"k": 0, "omegabar": [], "branch": "pi"},
+        {"k": 1, "omegabar": [3], "branch": "rewrite"},
+        {"k": 2, "omegabar": [3, 5], "branch": "pi"},
+    ],
+)
+def test_witness_accepts_well_formed_trace_step(step):
+    w, _, _ = witness_from_json(_small_witness_doc(trace=[step]))
+    assert w.trace == [step]
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ({"k": -3, "omegabar": [9, 9, 2], "branch": 7}, "nonnegative"),
+        ({"k": -1, "omegabar": [], "branch": "pi"}, "nonnegative"),
+        ({"k": 2, "omegabar": [4, 4], "branch": "pi"}, "strictly increasing"),
+        ({"k": 2, "omegabar": [5, 4], "branch": "pi"}, "strictly increasing"),
+        ({"k": 2, "omegabar": [4], "branch": "pi"}, "strictly increasing"),
+        ({"k": 0, "omegabar": [4], "branch": "pi"}, "strictly increasing"),
+        ({"k": 0, "omegabar": [], "branch": 7}, "branch"),
+        ({"k": 0, "omegabar": [], "branch": "Pi"}, "branch"),
+        ({"k": 0, "omegabar": [], "branch": None}, "branch"),
+        ({"k": 0, "omegabar": [], "branch": ["pi"]}, "branch"),
+    ],
+)
+def test_witness_rejects_bad_trace_step(step, message):
+    with pytest.raises(DimensionError, match=message):
+        witness_from_json(_small_witness_doc(trace=[step]))
+
+
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
 def test_witness_rejects_non_boolean_verified(flag):
     with pytest.raises(DimensionError, match="verified flag must be a boolean"):
