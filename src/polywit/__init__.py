@@ -12,7 +12,6 @@ from .construct import (
     hollow_similarity,
     lift_witness,
     reduce_step,
-    shift_bracket_closed_form,
     size_bound,
     witness_for_multilinear,
 )
@@ -28,7 +27,6 @@ from .errors import (
     PolywitError,
     PreconditionError,
     RationalLiteralError,
-    ResourceLimitError,
     SingularMatrixError,
 )
 from .harness import RunReport, run_witness, selftest, verify
@@ -44,7 +42,6 @@ from .polynomials import (
     AdmissiblePoly,
     MarkedPoly,
     MultilinearPoly,
-    enumerate_partitions,
     evaluate,
     from_multilinear,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "PolywitError",
     "PreconditionError",
     "RationalLiteralError",
-    "ResourceLimitError",
     "RunReport",
     "SingularMatrixError",
     "WitnessAssignment",
@@ -77,7 +73,6 @@ __all__ = [
     "commutator",
     "construct_witness",
     "embed",
-    "enumerate_partitions",
     "evaluate",
     "from_multilinear",
     "hollow_similarity",
@@ -91,7 +86,6 @@ __all__ = [
     "reduce_step",
     "run_witness",
     "selftest",
-    "shift_bracket_closed_form",
     "size_bound",
     "verify",
     "witness_for_multilinear",

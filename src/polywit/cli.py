@@ -21,12 +21,11 @@ from .errors import (
     PreconditionError,
 )
 from .harness import format_selftest, run_witness, selftest, verify
-from .parsing import parse_poly, parse_omega
-from .polynomials import _check_omega, enumerate_partitions, from_multilinear
+from .parsing import parse_poly
+from .polynomials import from_multilinear
 from .serialize import (
     matrix_from_json,
     matrix_to_json,
-    partitions_to_json,
     reduction_to_json,
     witness_from_json,
     witness_to_json,
@@ -116,13 +115,6 @@ def _cmd_hollow(args) -> int:
     return EXIT_OK
 
 
-def _cmd_partitions(args) -> int:
-    omega = _check_omega(parse_omega(args.omega), args.n)
-    parts = enumerate_partitions(omega, args.n)
-    _emit(partitions_to_json(parts), None)
-    return EXIT_OK
-
-
 def _cmd_reduce(args) -> int:
     f = from_multilinear(_load_poly(args))
     _emit(reduction_to_json(f, reduce_step(f)), None)
@@ -177,11 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--matrix", metavar="FILE", required=True)
     p.set_defaults(handler=_cmd_hollow)
-
-    p = sub.add_parser("partitions", help="list slot assignments")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--omega", default="", metavar="LIST")
-    p.set_defaults(handler=_cmd_partitions)
 
     p = sub.add_parser("reduce", help="show one variable-elimination step")
     _add_poly_options(p)

@@ -1,10 +1,10 @@
 """Witness construction: hollow similarity, the single-variable base
-case, the shift-bracket closed form, the block lift, and the recursion
-that strips the cheapest noncommuting variable per level.
+case, the block lift, and the recursion that strips the cheapest
+noncommuting variable per level.
 
-Every returned assignment satisfies evaluate(f, result) equal to the
-target embedded top-left, by exact arithmetic; the test suite and the
-verification harness re-evaluate rather than trusting this module.
+Every returned assignment makes f evaluate to the target embedded
+top-left, by exact arithmetic; the test suite and the verification
+harness re-evaluate rather than trusting this module.
 """
 
 from __future__ import annotations
@@ -21,34 +21,34 @@ from .matrices import (
     Matrix,
     as_rational,
     block_diagonal,
-    block_flatten,
     block_unit,
     cyclic_shift,
     embed,
     height,
-    # Unused here; bound so that bench/tracing.py can still patch them.
-    inverse,  # noqa: F401
-    rank_of_rows,  # noqa: F401
 )
 from .polynomials import (
     AdmissiblePoly,
     MultilinearPoly,
     bracket_rewrite,
     bracket_rewrite_size,
-    # This and min_k_and_omegabar are unused here; bound so that
-    # bench/tracing.py can still patch them.
-    from_multilinear,  # noqa: F401
     group_marker_positions,
+    pi_image,
+    pi_image_size,
+)
+from .witness import WitnessAssignment
+
+# Unused here.  bench/tracing.py patches these names in this module, and
+# its traced run fails if one is missing; delete them together once the
+# tracing no longer patches them.
+from .matrices import block_flatten, inverse, rank_of_rows  # noqa: F401
+from .polynomials import (  # noqa: F401
+    from_multilinear,
     marked_form,
     marker_at_one,
     marker_into_brackets,
-    min_k_and_omegabar,  # noqa: F401
-    pi_image,
-    pi_image_size,
+    min_k_and_omegabar,
     reindex_by_position,
-    swap_labels,
 )
-from .witness import WitnessAssignment
 
 BRANCH_PI = "pi"
 BRANCH_REWRITE = "rewrite"
@@ -155,26 +155,6 @@ def base_case_witness(lam, omegas, a: Matrix) -> WitnessAssignment:
     return WitnessAssignment._trusted(d, {1: x1}, {om: uu for om in omegas})
 
 
-# ------------------------------------------------------------- closed form
-
-
-def shift_bracket_closed_form(k: int, j: int, block: int = 1):
-    """Value of j nested shift brackets applied to the bottom-left unit.
-
-    Equals sum over s of (-1)^s C(j,s) placed at block position
-    (k+1-j+s, 1+s); at j = k this is block-diagonal with a leading
-    identity block, which is what the lift construction relies on.
-    """
-    if k < 0 or not (0 <= j <= k):
-        raise PreconditionError(f"need 0 <= j <= k, got j={j}, k={k}")
-    eye = Matrix.identity(block)
-    zero = Matrix.zeros(block)
-    grid = [[zero for _ in range(k + 1)] for _ in range(k + 1)]
-    for s in range(j + 1):
-        grid[k - j + s][s] = eye.scale((-1) ** s * math.comb(j, s))
-    return block_flatten(grid)
-
-
 # -------------------------------------------------------------------- lift
 
 
@@ -217,7 +197,8 @@ class ReductionStep:
     ``v`` is the eliminated variable and ``reduced`` the next level's
     polynomial, written with the labels v and n exchanged, so in it the
     label v (when v < n) stands for f's X_n.  The marked form and the
-    images it came from are not kept; ``reference_images`` rebuilds them.
+    images it came from are not kept; ``group_marker_positions(f, v,
+    omegabar)`` gives them again.
     """
 
     __slots__ = ("v", "k", "omegabar", "branch", "reduced")
@@ -309,22 +290,6 @@ def reduce_step(f: AdmissiblePoly) -> ReductionStep:
             f"the next level has {len(reduced.coeffs)} terms, counted {terms}"
         )
     return ReductionStep(v, k, omegabar, branch, reduced)
-
-
-def reference_images(f: AdmissiblePoly, step: ReductionStep):
-    """The marked form, its marker-to-1 image and, on the rewrite branch,
-    its bracket rewrite (else None) for the level ``step`` took from f.
-
-    They are rebuilt with the reference helpers, for display:
-    ``reduce_step`` builds only ``step.reduced``, which is one of the two
-    images.
-    """
-    g = f if step.v == f.n else swap_labels(f, step.v)
-    marked = marked_form(reindex_by_position(g), step.k, step.omegabar, g.n, g.omega)
-    pi_part = marker_at_one(marked)
-    if step.branch == BRANCH_PI:
-        return marked, pi_part, None
-    return marked, pi_part, marker_into_brackets(marked)
 
 
 def construct_witness(f: AdmissiblePoly, a: Matrix) -> WitnessAssignment:

@@ -51,9 +51,5 @@ class PreconditionError(PolywitError):
     """An input violates a documented precondition (e.g. nonzero trace)."""
 
 
-class ResourceLimitError(PolywitError):
-    """A request would build more than a fixed size limit allows."""
-
-
 class InternalInvariantError(PolywitError):
     """A state the construction proves impossible was reached; always a bug."""

@@ -141,18 +141,3 @@ def poly_to_str(f: MultilinearPoly) -> str:
         else:
             pieces.append(f"+ {body}" if lam > 0 else f"- {body}")
     return " ".join(pieces)
-
-
-_INT_LIST_RE = re.compile(r"^\s*$|^\s*\d+\s*(,\s*\d+\s*)*$")
-
-
-def parse_omega(text: str):
-    """Comma-separated commuting indices; empty text is the empty set."""
-    if not _INT_LIST_RE.match(text or ""):
-        raise PolynomialSyntaxError(f"not a comma-separated index list: {text!r}")
-    if not text or not text.strip():
-        return ()
-    try:
-        return tuple(sorted({int(part) for part in text.split(",")}))
-    except ValueError as exc:  # past the interpreter's digit limit
-        raise PolynomialSyntaxError(str(exc)) from None

@@ -20,6 +20,16 @@ what makes "empty map" equivalent to "zero polynomial".  The tests'
 word-expansion oracle (``tests/word_oracle.py``) confirms the
 independence computationally: its coefficient extraction checks that
 the expanded basis has full column rank.
+
+``evaluate`` is the dense evaluator of multilinear polynomials only; the
+tests' ``tests/reference.py`` extends it to admissible and marked ones.
+A reduction level is built by ``group_marker_positions`` and then
+``pi_image`` or ``bracket_rewrite``, counted first by their ``_size``
+twins; ``polywit reduce`` prints the groups as a ``MarkedPoly``.  The
+step-by-step helpers ``reindex_by_position``, ``min_k_and_omegabar``,
+``marked_form``, ``marker_at_one`` and ``marker_into_brackets`` build
+the same level the long way; no construction calls them, and the tests
+use them as the reduction's oracle.
 """
 
 from __future__ import annotations
@@ -35,9 +45,8 @@ from .errors import (
     EmptyPolynomialError,
     InternalInvariantError,
     PreconditionError,
-    ResourceLimitError,
 )
-from .matrices import Matrix, as_rational, iterated_commutator
+from .matrices import Matrix, as_rational
 from .witness import WitnessAssignment
 
 
@@ -47,13 +56,6 @@ from .witness import WitnessAssignment
 def all_permutations(n: int):
     """All permutations of 1..n as image tuples, in lexicographic order."""
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-
-
-def insert_symbol(tau, j: int, sym: int):
-    """Insert ``sym`` at 1-based position ``j`` of the word ``tau``."""
-    if not (1 <= j <= len(tau) + 1):
-        raise DimensionError(f"position {j} outside 1..{len(tau) + 1}")
-    return tau[: j - 1] + (sym,) + tau[j - 1 :]
 
 
 def _check_perm(sigma, n: int):
@@ -84,37 +86,6 @@ def _check_omega(omega, n: int):
             f"commuting indices {omega} must all exceed the variable count {n}"
         )
     return omega
-
-
-MAX_PARTITIONS = 10**5
-
-
-def enumerate_partitions(omega, n: int):
-    """All splits of ``omega`` into ``n`` labeled increasing slots.
-
-    Each index is assigned independently to one slot, so the result has
-    exactly n**len(omega) entries; more than ``MAX_PARTITIONS`` raises
-    ``ResourceLimitError`` before any is built.  Order of the result is
-    the product order of those assignments, which keeps outputs
-    reproducible.
-    """
-    if n < 1:
-        raise DimensionError("need at least one slot")
-    omega = tuple(sorted(omega))
-    count = 1
-    for _ in omega:
-        count *= n
-        if count > MAX_PARTITIONS:
-            raise ResourceLimitError(
-                f"{n}**{len(omega)} partitions exceed the limit of {MAX_PARTITIONS}"
-            )
-    out = []
-    for assignment in itertools.product(range(n), repeat=len(omega)):
-        slots = [[] for _ in range(n)]
-        for w, slot in zip(omega, assignment):
-            slots[slot].append(w)
-        out.append(tuple(tuple(s) for s in slots))
-    return out
 
 
 # -------------------------------------------------------------------- types
@@ -314,16 +285,16 @@ def from_multilinear(f: MultilinearPoly) -> AdmissiblePoly:
 # -------------------------------------------------------------------- evaluation
 
 
-def _eval_decorated(var: int, slot, w: WitnessAssignment) -> Matrix:
-    return iterated_commutator([w.u(om) for om in slot], w.x(var))
-
-
 def _product(factors) -> Matrix:
     """Ordered product of the factor matrices, starting at the first."""
     return functools.reduce(operator.mul, factors)
 
 
-def _eval_multilinear(f: MultilinearPoly, w: WitnessAssignment) -> Matrix:
+def evaluate(f: MultilinearPoly, w: WitnessAssignment) -> Matrix:
+    """Exact value of the multilinear polynomial at the assignment: the
+    dense ``Fraction`` oracle the integer verifier is tested against."""
+    if not isinstance(f, MultilinearPoly):
+        raise ArityError(f"cannot evaluate object of type {type(f).__name__}")
     out = Matrix.zeros(w.size)
     for sigma, lam in f.coeffs.items():
         term = _product(w.x(var) for var in sigma)
@@ -331,61 +302,7 @@ def _eval_multilinear(f: MultilinearPoly, w: WitnessAssignment) -> Matrix:
     return out
 
 
-def _eval_admissible(f: AdmissiblePoly, w: WitnessAssignment) -> Matrix:
-    out = Matrix.zeros(w.size)
-    for (sigma, parts), lam in f.coeffs.items():
-        term = _product(
-            _eval_decorated(var, parts[var - 1], w) for var in sigma
-        )
-        out = out + term.scale(lam)
-    return out
-
-
-def _eval_marked(g: MarkedPoly, w: WitnessAssignment) -> Matrix:
-    out = Matrix.zeros(w.size)
-    marker = w.u(g.marker)
-    for (sigma, j, parts), lam in g.coeffs.items():
-        factors = []
-        for pos, var in enumerate(sigma, start=1):
-            if pos == j:
-                factors.append(marker)
-            factors.append(_eval_decorated(var, parts[var - 1], w))
-        if j == g.n:
-            factors.append(marker)
-        out = out + _product(factors).scale(lam)
-    return out
-
-
-def evaluate(poly, w: WitnessAssignment) -> Matrix:
-    """Exact value of the evaluation homomorphism at the assignment."""
-    if isinstance(poly, MultilinearPoly):
-        return _eval_multilinear(poly, w)
-    if isinstance(poly, AdmissiblePoly):
-        return _eval_admissible(poly, w)
-    if isinstance(poly, MarkedPoly):
-        return _eval_marked(poly, w)
-    raise ArityError(f"cannot evaluate object of type {type(poly).__name__}")
-
-
 # -------------------------------------------------------------------- reduction
-
-
-def swap_labels(f: AdmissiblePoly, v: int) -> AdmissiblePoly:
-    """f with the variable labels v and n exchanged, in words and slots.
-
-    The result evaluated at Y equals f evaluated at Y with Y_v and Y_n
-    exchanged, so a witness for one becomes a witness for the other by
-    swapping the matrices of those two variables.
-    """
-    n = f.n
-    image = list(range(n + 1))
-    image[v], image[n] = n, v
-    coeffs = {}
-    for (sigma, parts), lam in f.coeffs.items():
-        slots = list(parts)
-        slots[v - 1], slots[n - 1] = parts[n - 1], parts[v - 1]
-        coeffs[(tuple(map(image.__getitem__, sigma)), tuple(slots))] = lam
-    return AdmissiblePoly._trusted(n, f.omega, coeffs)
 
 
 def reindex_by_position(f: AdmissiblePoly):
@@ -403,16 +320,6 @@ def reindex_by_position(f: AdmissiblePoly):
         j = sigma.index(n)
         idx[(sigma[:j] + sigma[j + 1 :], j + 1, parts)] = lam
     return idx
-
-
-def merge_position_index(n: int, omega, idx) -> AdmissiblePoly:
-    """Inverse of reindex_by_position."""
-    coeffs = {}
-    for (tau, j, parts), lam in idx.items():
-        sigma = insert_symbol(tuple(tau), j, n)
-        key = (sigma, tuple(tuple(p) for p in parts))
-        coeffs[key] = coeffs.get(key, 0) + lam
-    return AdmissiblePoly(n, omega, coeffs)
 
 
 def min_k_and_omegabar(idx, n: int):
@@ -448,9 +355,10 @@ def marked_form(idx, k: int, omegabar, n: int, omega) -> MarkedPoly:
 def group_marker_positions(f: AdmissiblePoly, v: int, omegabar) -> dict:
     """The marked form of f at X_v, grouped in one pass over f's terms.
 
-    f is read with the labels v and n exchanged, as ``swap_labels`` does.
-    The terms whose top slot (X_v's slot in f) is ``omegabar`` are kept
-    and keyed by (residual word, first n-1 slots): exactly the groups of
+    f is read with the labels v and n exchanged, as the tests'
+    ``swap_labels`` does.  The terms whose top slot (X_v's slot in f) is
+    ``omegabar`` are kept and keyed by (residual word, first n-1 slots):
+    exactly the groups of
     ``marked_form(reindex_by_position(swap_labels(f, v)), ...)`` by
     (sigma, parts[:n-1]).  Each group maps to a list of length n+1 whose
     entry j is the coefficient with the marker at position j (entry 0 is

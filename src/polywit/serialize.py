@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 
-from .construct import BRANCH_PI, BRANCH_REWRITE, ReductionStep, reference_images
+from .construct import BRANCH_PI, BRANCH_REWRITE, ReductionStep
 from .errors import DimensionError
 from .matrices import Matrix, parse_rational
-from .polynomials import AdmissiblePoly, MarkedPoly
+from .polynomials import AdmissiblePoly, MarkedPoly, group_marker_positions, pi_image
 from .witness import WitnessAssignment
 
 _INDEX_RE = re.compile(r"[1-9][0-9]*")
@@ -119,6 +119,13 @@ def _clean_trace(raw) -> list:
             raise DimensionError(
                 f"trace omegabar {omegabar} must be {k} strictly increasing indices"
             )
+        # A step is taken at a level with n >= 2 variables, and commuting
+        # indices exceed n there.
+        if omegabar and omegabar[0] < 3:
+            raise DimensionError(
+                f"trace omegabar {omegabar} names U{omegabar[0]}; "
+                "commuting indices are at least 3"
+            )
         if not isinstance(branch, str) or branch not in (BRANCH_PI, BRANCH_REWRITE):
             raise DimensionError(
                 f"trace branch must be {BRANCH_PI!r} or {BRANCH_REWRITE!r}, "
@@ -185,19 +192,30 @@ def marked_to_json(g: MarkedPoly) -> dict:
 
 
 def reduction_to_json(f: AdmissiblePoly, step: ReductionStep) -> dict:
-    """The level ``step`` took from f, with the marked form and its images
-    rebuilt by ``reference_images``."""
-    marked, pi_part, rewritten = reference_images(f, step)
+    """The level ``step`` took from f.  The marked form and its
+    marker-to-1 image are read off the grouping pass ``reduce_step``
+    made; on the rewrite branch the rewrite is ``step.reduced``."""
+    groups = group_marker_positions(f, step.v, step.omegabar)
+    marked = MarkedPoly._trusted(
+        f.n,
+        f.omega,
+        step.omegabar,
+        {
+            (tau, j, head + (step.omegabar,)): lam
+            for (tau, head), row in groups.items()
+            for j, lam in enumerate(row)
+            if lam
+        },
+    )
+    omega = tuple(w for w in f.omega if w not in step.omegabar)
     return {
         "v": step.v,
         "k": step.k,
         "omegabar": list(step.omegabar),
         "branch": step.branch,
         "g": marked_to_json(marked),
-        "pi_of_g": admissible_to_json(pi_part),
-        "rewritten": None if rewritten is None else admissible_to_json(rewritten),
+        "pi_of_g": admissible_to_json(pi_image(groups, f.n, omega)),
+        "rewritten": (
+            None if step.branch == BRANCH_PI else admissible_to_json(step.reduced)
+        ),
     }
-
-
-def partitions_to_json(partitions) -> list:
-    return [[list(p) for p in parts] for parts in partitions]

@@ -66,12 +66,6 @@ class WitnessAssignment:
         except KeyError:
             raise ArityError(f"no matrix assigned to U{omega}") from None
 
-    def with_u(self, omega: int, mat: Matrix) -> "WitnessAssignment":
-        """Copy of the assignment with one commuting slot replaced or added."""
-        u_new = dict(self.u_assign)
-        u_new[omega] = mat
-        return WitnessAssignment(self.size, self.x_assign, u_new)
-
     def __eq__(self, other):
         if not isinstance(other, WitnessAssignment):
             return NotImplemented

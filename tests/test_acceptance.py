@@ -14,7 +14,6 @@ from polywit.construct import (
     hollow_similarity,
     lift_witness,
     reduce_step,
-    shift_bracket_closed_form,
     size_bound,
     witness_for_multilinear,
 )
@@ -35,19 +34,20 @@ from polywit.parsing import parse_poly
 from polywit.polynomials import (
     MultilinearPoly,
     all_permutations,
-    evaluate,
     marker_at_one,
     marker_into_brackets,
-    merge_position_index,
     from_multilinear,
 )
-from polywit.randgen import (
+from polywit.randgen import random_multilinear, random_trace_zero
+from polywit.witness import WitnessAssignment
+from reference import (
+    evaluate,
+    merge_position_index,
     random_admissible,
     random_commuting_assignment,
     random_marked,
     random_marked_pi_zero,
-    random_multilinear,
-    random_trace_zero,
+    shift_bracket_closed_form,
 )
 from word_oracle import (
     expand_admissible,
@@ -228,7 +228,8 @@ def test_criterion_pi_and_rewrite_oracles():
     ok_pi = True
     for case in range(100):
         g, gw, _, _ = _marked_case(case, 40_000 + case)
-        w_id = gw.with_u(g.marker, Matrix.identity(gw.size))
+        u_id = {**gw.u_assign, g.marker: Matrix.identity(gw.size)}
+        w_id = WitnessAssignment(gw.size, gw.x_assign, u_id)
         if evaluate(marker_at_one(g), gw) != evaluate(g, w_id):
             ok_pi = False
     ok_rw = True
@@ -280,8 +281,6 @@ def test_criterion_negative_controls():
     bumped = [list(row) for row in tampered[1].rows]
     bumped[0][1] += Fraction(1)
     tampered[1] = Matrix(bumped)
-    from polywit.witness import WitnessAssignment
-
     w_bad = WitnessAssignment(w.size, tampered, w.u_assign)
     ok_perturb = verify(f, w, a) and not verify(f, w_bad, a)
 

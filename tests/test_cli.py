@@ -4,8 +4,6 @@ import hashlib
 import json
 import subprocess
 import sys
-import time
-import tracemalloc
 
 import pytest
 
@@ -211,51 +209,6 @@ def test_hollow_rejects_nonzero_trace(tmp_path, capsys):
     assert "trace" in captured.err
 
 
-def test_partitions_command(capsys):
-    code = run(["partitions", "--n", "2", "--omega", "3,4"])
-    captured = capsys.readouterr()
-    assert code == 0
-    doc = json.loads(captured.out)
-    assert len(doc) == 4
-    assert [[3, 4], []] in doc
-
-
-def test_partitions_empty_omega(capsys):
-    code = run(["partitions", "--n", "3"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert json.loads(captured.out) == [[[], [], []]]
-
-
-@pytest.mark.parametrize("omega", ["0,1", "2"])
-def test_partitions_rejects_indices_not_above_n(omega, capsys):
-    assert run(["partitions", "--n", "2", "--omega", omega]) == 3
-    assert "exceed the variable count" in capsys.readouterr().err
-
-
-def test_partitions_rejects_index_past_digit_limit(capsys):
-    huge = "7" * 5000
-    assert run(["partitions", "--n", "2", "--omega", huge]) == 3
-    assert "value has 5000 digits" in capsys.readouterr().err
-
-
-def test_partitions_refuses_more_than_the_limit(capsys):
-    # 10**30 slot assignments: refused before any is built.
-    omega = ",".join(map(str, range(11, 41)))
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        code = run(["partitions", "--n", "10", "--omega", omega])
-        elapsed = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 3
-    assert "10**30 partitions exceed the limit" in capsys.readouterr().err
-    assert elapsed < 1
-    assert peak < 1 << 20
-
-
 def test_word_expansion_is_not_shipped(tmp_path, capsys):
     path = tmp_path / "adm.json"
     path.write_text(
@@ -268,6 +221,14 @@ def test_word_expansion_is_not_shipped(tmp_path, capsys):
         "PCPoly", "expand_admissible", "extract_coefficients", "NotAdmissibleError"
     }
     assert not any(hasattr(polywit, name) for name in moved)
+
+
+def test_partitions_and_test_helpers_are_not_shipped(capsys):
+    assert run(["partitions", "--n", "1"]) == 3
+    capsys.readouterr()
+    assert all(hasattr(polywit, name) for name in polywit.__all__)
+    gone = {"enumerate_partitions", "shift_bracket_closed_form", "ResourceLimitError"}
+    assert not any(hasattr(polywit, name) for name in gone)
 
 
 def test_reduce_command(capsys):
@@ -359,18 +320,18 @@ def test_internal_type_error_is_not_an_input_error(monkeypatch):
     def broken(args):
         raise TypeError("a bug, not bad input")
 
-    monkeypatch.setattr(cli, "_cmd_partitions", broken)
+    monkeypatch.setattr(cli, "_cmd_reduce", broken)
     with pytest.raises(TypeError):
-        run(["partitions", "--n", "1"])
+        run(["reduce", "--poly-str", "X1*X2"])
 
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
     def broken(args):
         raise ValueError("a bug, not bad input")
 
-    monkeypatch.setattr(cli, "_cmd_partitions", broken)
+    monkeypatch.setattr(cli, "_cmd_reduce", broken)
     with pytest.raises(ValueError):
-        run(["partitions", "--n", "1"])
+        run(["reduce", "--poly-str", "X1*X2"])
 
 
 def test_non_integer_pw_seed_is_input_error(monkeypatch, capsys):
@@ -425,9 +386,22 @@ def test_usage_error_maps_to_input_error(capsys):
 
 def test_module_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "polywit", "partitions", "--n", "1"],
+        [sys.executable, "-m", "polywit", "reduce", "--poly-str", "X1*X2"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout) == [[[]]]
+    assert json.loads(proc.stdout) == {
+        "v": 2,
+        "k": 0,
+        "omegabar": [],
+        "branch": "pi",
+        "g": {
+            "n": 2,
+            "omega": [],
+            "omegabar": [],
+            "terms": [{"sigma": [1], "j": 2, "parts": [[], []], "coeff": "1"}],
+        },
+        "pi_of_g": [{"sigma": [1], "parts": [[]], "coeff": "1"}],
+        "rewritten": None,
+    }

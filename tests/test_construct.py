@@ -18,8 +18,6 @@ from polywit.construct import (
     hollow_similarity,
     lift_witness,
     reduce_step,
-    reference_images,
-    shift_bracket_closed_form,
     size_bound,
     witness_for_multilinear,
 )
@@ -39,27 +37,27 @@ from polywit.polynomials import (
     AdmissiblePoly,
     MarkedPoly,
     MultilinearPoly,
-    evaluate,
     from_multilinear,
     marked_form,
     marker_at_one,
     marker_into_brackets,
-    merge_position_index,
     min_k_and_omegabar,
     reindex_by_position,
-    swap_labels,
 )
-from polywit.randgen import (
-    random_admissible,
-    random_bracket,
-    random_commuting_assignment,
-    random_marked,
-    random_multilinear,
-    random_trace_zero,
-)
+from polywit.randgen import random_bracket, random_multilinear, random_trace_zero
 from polywit.harness import verify
 from polywit.serialize import witness_to_json
 from polywit.witness import WitnessAssignment
+from reference import (
+    evaluate,
+    merge_position_index,
+    random_admissible,
+    random_commuting_assignment,
+    random_marked,
+    reference_images,
+    shift_bracket_closed_form,
+    swap_labels,
+)
 
 # ----------------------------------------------------------- hollow form
 

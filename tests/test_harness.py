@@ -12,8 +12,9 @@ from polywit.errors import ArityError
 from polywit.harness import verify
 from polywit.matrices import Matrix, embed
 from polywit.polynomials import MultilinearPoly, evaluate
-from polywit.randgen import random_matrix, random_multilinear, random_trace_zero
+from polywit.randgen import random_multilinear, random_trace_zero
 from polywit.witness import WitnessAssignment
+from reference import random_matrix
 
 # Mixed denominators and signs; zero is drawn too.
 _SCALARS = st.fractions(min_value=-5, max_value=5, max_denominator=12)

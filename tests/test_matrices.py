@@ -20,7 +20,7 @@ from polywit.matrices import (
     rank_of_rows,
     rref_with_transform,
 )
-from polywit.randgen import random_invertible, random_matrix
+from reference import random_invertible, random_matrix
 
 
 def test_constructor_rejects_bad_shapes():

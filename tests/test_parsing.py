@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywit.errors import MultilinearityError, PolynomialSyntaxError
-from polywit.parsing import parse_omega, parse_poly, poly_to_str
+from polywit.parsing import parse_poly, poly_to_str
 from polywit.polynomials import MultilinearPoly
 from polywit.randgen import random_multilinear
 
@@ -231,17 +231,3 @@ def test_parsed_coefficients_are_fractions():
     assert f.coeffs == {(2, 1): 2}
     assert all(type(lam) is Fraction for lam in f.coeffs.values())
     assert f == MultilinearPoly(2, f.coeffs)
-
-
-def test_parse_omega():
-    assert parse_omega("") == ()
-    assert parse_omega("3") == (3,)
-    assert parse_omega("4,3") == (3, 4)
-    assert parse_omega("3,3,5") == (3, 5)
-    with pytest.raises(PolynomialSyntaxError):
-        parse_omega("3,x")
-
-
-def test_parse_omega_rejects_index_past_digit_limit():
-    with pytest.raises(PolynomialSyntaxError, match="value has 5000 digits"):
-        parse_omega("3," + "7" * 5000)

@@ -6,43 +6,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polywit import polynomials
 from polywit.errors import (
+    ArityError,
     DimensionError,
     EmptyPolynomialError,
     PreconditionError,
-    ResourceLimitError,
 )
 from polywit.matrices import Matrix
 from polywit.polynomials import (
-    MAX_PARTITIONS,
     AdmissiblePoly,
     MarkedPoly,
     MultilinearPoly,
     _group_marked,
     all_permutations,
     bracket_rewrite_size,
-    enumerate_partitions,
-    evaluate,
     from_multilinear,
     group_marker_positions,
-    insert_symbol,
     marked_form,
     marker_at_one,
     marker_into_brackets,
-    merge_position_index,
     min_k_and_omegabar,
     pi_image_size,
     reindex_by_position,
-    swap_labels,
 )
-from polywit.randgen import (
+from polywit.randgen import random_multilinear
+from polywit.witness import WitnessAssignment
+from reference import (
+    enumerate_partitions,
+    evaluate,
+    insert_symbol,
+    merge_position_index,
     random_admissible,
     random_commuting_assignment,
     random_marked,
     random_marked_pi_zero,
-    random_multilinear,
+    swap_labels,
 )
-from polywit.witness import WitnessAssignment
 from word_oracle import (
     NotAdmissibleError,
     PCPoly,
@@ -86,12 +86,6 @@ def test_partition_count_and_cover(n, omega):
             assert list(p) == sorted(set(p))
 
 
-def test_partitions_past_the_limit_are_refused():
-    assert len(enumerate_partitions(range(3, 19), 2)) == 2 ** 16 <= MAX_PARTITIONS
-    with pytest.raises(ResourceLimitError):
-        enumerate_partitions(range(3, 20), 2)
-
-
 def test_partition_order_is_reproducible():
     first = enumerate_partitions((3, 4), 2)
     assert first[0] == ((3, 4), ())
@@ -114,6 +108,12 @@ def test_admissible_validates_partition():
         AdmissiblePoly(1, (2,), {((1,), ((),)): 1})
     with pytest.raises(DimensionError):
         AdmissiblePoly(1, (1,), {((1,), ((1,),)): 1})
+
+
+@pytest.mark.parametrize("omega", ["0,1", "2"])
+def test_admissible_rejects_indices_not_above_n(omega):
+    with pytest.raises(DimensionError, match="exceed the variable count"):
+        AdmissiblePoly(2, tuple(map(int, omega.split(","))), {})
 
 
 def test_marked_validates_selected_slot():
@@ -250,6 +250,14 @@ def test_evaluate_admissible_against_hand_value():
 
     w = WitnessAssignment(2, w_assign, {3: Matrix.diagonal([1, 2])})
     assert evaluate(f, w) == Matrix.unit(2, 1, 2).scale(-2)
+
+
+def test_package_evaluates_multilinear_polynomials_only():
+    f = AdmissiblePoly(1, (3,), {((1,), ((3,),)): 2})
+    w = WitnessAssignment(2, {1: Matrix.unit(2, 1, 2)}, {3: Matrix.diagonal([1, 2])})
+    with pytest.raises(ArityError):
+        polynomials.evaluate(f, w)
+    assert polynomials.evaluate(MultilinearPoly(1, {(1,): 3}), w) == Matrix.unit(2, 1, 2).scale(3)
 
 
 def test_evaluate_pc_matches_expand():

@@ -1,4 +1,5 @@
-"""Seeded generator guarantees: reproducibility and structural properties."""
+"""Seeded generator guarantees: reproducibility and structural properties,
+for the package's generators and the tests' own in ``reference``."""
 
 import pytest
 
@@ -6,16 +7,14 @@ from polywit.errors import DimensionError
 from polywit.matrices import Matrix, inverse
 from polywit.construct import BRANCH_REWRITE, reduce_step
 from polywit.polynomials import from_multilinear, marker_at_one
-from polywit.randgen import (
+from polywit.randgen import random_bracket, random_multilinear, random_trace_zero
+from reference import (
     random_admissible,
-    random_bracket,
     random_commuting_assignment,
     random_invertible,
     random_marked,
     random_marked_pi_zero,
     random_matrix,
-    random_multilinear,
-    random_trace_zero,
 )
 
 

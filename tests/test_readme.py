@@ -1,10 +1,14 @@
-"""The README's library example runs and prints what its comments show."""
+"""The README's library example runs and prints what its comments show,
+and its command-line block lists exactly the CLI's subcommands."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from polywit import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,3 +38,18 @@ def test_readme_library_example_prints_its_comments():
     assert len(out) == len(prints)
     for i, want in expected.items():
         assert out[i] == want
+
+
+def test_readme_commands_are_the_cli_subcommands():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    documented = [line.split()[1] for line in block.splitlines() if line.strip()]
+    parser = cli._build_parser()
+    (subparsers,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(documented) == sorted(subparsers.choices)
+    assert len(set(documented)) == len(documented)

